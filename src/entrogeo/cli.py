@@ -14,7 +14,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,7 +35,6 @@ from .geometry import (
     geodesic_numeric,
 )
 from .schemes import DrivingScheme, SchemeKind
-from .verify import run_checks
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -56,15 +54,16 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _max_workers() -> int:
+def _check_threads_env() -> None:
+    """Validate ENTROGEO_THREADS.  It is accepted for compatibility and
+    has no effect: every emitter runs in one thread."""
     raw = os.environ.get("ENTROGEO_THREADS", "")
     try:
         n = int(raw)
     except ValueError:
-        return 1
+        return
     if n < 1:
         raise DomainError(f"ENTROGEO_THREADS={raw!r} must be a positive integer")
-    return n
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -125,7 +124,8 @@ def _cfg(args) -> dict:
 def _build_scheme(args) -> DrivingScheme:
     kind = SchemeKind(args.scheme)
     if kind is SchemeKind.CONSTANT:
-        return DrivingScheme(kind=kind, gamma=args.gamma or 1.0, hbar=args.hbar)
+        gamma = 1.0 if args.gamma is None else args.gamma
+        return DrivingScheme(kind=kind, gamma=gamma, hbar=args.hbar)
     if args.gamma is not None:
         return DrivingScheme(
             kind=kind, gamma=args.gamma, lam=args.lam, hbar=args.hbar,
@@ -267,14 +267,6 @@ def cmd_figure1(args) -> int:
     return EXIT_OK
 
 
-def _region_rows(theta0_grid, lam_grid, u_star):
-    rows = []
-    for th0 in theta0_grid:
-        for lam in lam_grid:
-            rows.append((th0, lam, 1.0 if lam * th0 >= u_star else 0.0))
-    return rows
-
-
 def cmd_figure2(args) -> int:
     lam = np.linspace(args.lambda_start, args.lambda_stop, args.lambda_count)
     theta0 = args.theta0
@@ -306,14 +298,10 @@ def cmd_figure2(args) -> int:
     n = args.grid_count
     theta0_grid = np.linspace(args.grid_theta0_max / n, args.grid_theta0_max, n)
     lam_grid = np.linspace(args.grid_lambda_max / n, args.grid_lambda_max, n)
-    workers = _max_workers()
-    chunks = np.array_split(theta0_grid, workers)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pieces = list(pool.map(lambda c: _region_rows(c, lam_grid, u_star), chunks))
-    else:
-        pieces = [_region_rows(c, lam_grid, u_star) for c in chunks]
-    rows = [row for piece in pieces for row in piece]
+    _check_threads_env()
+    th0, lam2 = np.meshgrid(theta0_grid, lam_grid, indexing="ij")
+    flags = (lam2 * th0 >= u_star).astype(float)
+    rows = zip(th0.ravel().tolist(), lam2.ravel().tolist(), flags.ravel().tolist())
     region_text = _csv(
         "figure2-region", cfg,
         comments=[
@@ -398,6 +386,8 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks
+
     results = run_checks(name_filter=args.filter, inject_failure=args.inject_failure)
     if not results:
         print(f"no invariant matches filter {args.filter!r}", file=sys.stderr)

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from scipy.optimize import brentq
-
 from .errors import DomainError, NoSignChange
 from .geometry import fisher_closed_form
 from .schemes import DrivingScheme, SchemeKind
@@ -160,13 +158,18 @@ def rate_crossover(
         raise NoSignChange(
             f"no sign change on [{a}, {b}]: diff({a})={fa}, diff({b})={fb}"
         )
+    from scipy.optimize import brentq
+
     return float(brentq(diff, a, b, xtol=_BRENT_XTOL))
 
 
 def region_boundary_scale() -> float:
     """Root u* of (1 + u)^2 = exp(u), u > 0: the exponential scheme is the
-    cooler one exactly when lam * theta0 >= u*."""
-    return float(brentq(lambda u: 2.0 * math.log1p(u) - u, 1.0, 5.0, xtol=1e-14))
+    cooler one exactly when lam * theta0 >= u*.
+
+    Closed form u* = -2 W_{-1}(-exp(-1/2)/2) - 1, correctly rounded.
+    """
+    return 2.5128624172523395
 
 
 def check_ranking_preservation(rates: Sequence[float]) -> bool:

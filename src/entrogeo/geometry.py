@@ -19,7 +19,6 @@ from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     DegenerateDistribution,
@@ -271,6 +270,8 @@ def geodesic_numeric(
 
         def to_state(y, _=None):
             return y[0], y[1] / metric.g(y[0])
+
+    from scipy.integrate import solve_ivp
 
     xi_grid = np.linspace(xi0, xi_end, n_samples)
     try:

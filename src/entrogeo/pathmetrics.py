@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from scipy.integrate import quad
-
 from .errors import DegenerateDistribution, DomainError, QuadratureFailure
 from .geometry import Geodesic, MetricField, fisher_closed_form, geodesic_closed_form
 from .schemes import DrivingScheme, ProbabilityPath
@@ -69,6 +67,8 @@ class PathMetricsReport:
 def _quad(f, a: float, b: float) -> float:
     if a == b:
         return 0.0
+    from scipy.integrate import quad
+
     val, err, info, *msg = quad(
         f, a, b, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
         limit=_QUAD_LIMIT, full_output=True,

@@ -29,6 +29,12 @@ class TestExitCodes:
         assert res.returncode == 2
         assert "lambda" in res.stderr
 
+    def test_zero_gamma_is_usage_error(self):
+        # 0 is a given value, not a missing one: it must not become gamma = 1
+        res = run("metrics", "--scheme", "constant", "--gamma", "0")
+        assert res.returncode == 2
+        assert "error:" in res.stderr
+
     def test_negative_tau_is_usage_error(self):
         res = run("metrics", "--scheme", "constant", "--tau", "-1")
         assert res.returncode == 2

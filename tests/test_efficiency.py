@@ -1,6 +1,7 @@
 """Efficiency measures, scheme ranking, and rate crossovers."""
 import math
 
+import mpmath
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from entrogeo import (
     rate_crossover,
     region_boundary_scale,
 )
+from entrogeo import cli
 from entrogeo.efficiency import check_ranking_preservation, entropy_rate_of_scheme
 
 positive = st.floats(1e-6, 1e6)
@@ -106,6 +108,16 @@ class TestRanking:
 class TestCrossover:
     def test_boundary_scale_frozen(self):
         assert region_boundary_scale() == pytest.approx(2.5128624172523395, abs=1e-10)
+
+    def test_boundary_scale_matches_lambertw_oracle(self):
+        # u* = -2 W_{-1}(-exp(-1/2)/2) - 1, from 1 + u = exp(u/2)
+        with mpmath.workdps(50):
+            oracle = float(-2 * mpmath.lambertw(-mpmath.exp(-0.5) / 2, -1).real - 1)
+        assert region_boundary_scale() == oracle
+
+    def test_figure2_region_prints_boundary_digits(self, capsys):
+        assert cli.main(["figure2", "--lambda-count", "11", "--grid-count", "3"]) == 0
+        assert "# u_star = 2.5128624172523395\n" in capsys.readouterr().out
 
     def test_crossover_scales_inversely_with_theta0(self):
         # lam* theta0 = u*, so doubling theta0 halves lam*.

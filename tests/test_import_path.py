@@ -1,0 +1,41 @@
+"""Cold start: the closed-form subcommands never load scipy.
+
+Each case runs in a fresh interpreter, since scipy stays in
+``sys.modules`` once any test in this process has imported it.
+"""
+import subprocess
+import sys
+
+import pytest
+
+_CLI_CASE = """
+import contextlib, io, sys
+from entrogeo import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        rc = cli.main({argv!r})
+    except SystemExit as exc:  # argparse's --version action exits
+        rc = exc.code
+assert rc == {rc}, rc
+"""
+
+CASES = {
+    "import entrogeo": "import entrogeo",
+    "import entrogeo.cli": "import entrogeo.cli",
+    "--version": _CLI_CASE.format(argv=["--version"], rc=0),
+    "figure1": _CLI_CASE.format(
+        argv=["figure1", "--lambda-count", "11", "--tau-count", "11"], rc=0),
+    "figure2": _CLI_CASE.format(
+        argv=["figure2", "--lambda-count", "11", "--grid-count", "5"], rc=0),
+    "table1": _CLI_CASE.format(argv=["table1", "--lambda", "18"], rc=0),
+    "domain error": _CLI_CASE.format(
+        argv=["metrics", "--scheme", "power_law", "--lambda", "-1"], rc=2),
+}
+
+
+@pytest.mark.parametrize("code", CASES.values(), ids=CASES.keys())
+def test_scipy_not_loaded(code):
+    probe = code + "\nimport sys\nprint('scipy' in sys.modules)\n"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
