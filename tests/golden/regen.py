@@ -1,0 +1,119 @@
+"""Golden-output corpus for the ``entrogeo`` CLI.
+
+Each case is one argv.  Its recorded outcome is the exit code, stdout,
+stderr and every file the run writes, each stored byte for byte under
+``tests/golden/<case>/``.  ``fingerprint.json`` records the numpy build
+and CPU features the corpus was made on: numpy's SIMD ``exp``/``log1p``/
+``arcsin`` may round differently in the last bit on another CPU.
+
+Regenerate (a reviewed act: name each changed byte in CHANGES.md):
+
+    PYTHONPATH=src python tests/golden/regen.py
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import platform
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+FINGERPRINT = HERE / "fingerprint.json"
+
+# "{out}" stands for a fresh output directory; the config hash excludes
+# --output, so the recorded bytes do not depend on where it lives.
+CASES = {
+    "metrics-constant": ["metrics", "--scheme", "constant"],
+    "metrics-oscillating": ["metrics", "--scheme", "oscillating", "--lambda", "0.5"],
+    "metrics-power_law": ["metrics", "--scheme", "power_law", "--lambda", "0.5"],
+    "metrics-exponential": ["metrics", "--scheme", "exponential", "--lambda", "0.5"],
+    "metrics-constant-gamma": [
+        "metrics", "--scheme", "constant", "--gamma", "1.3", "--hbar", "0.7",
+        "--theta0", "0.4", "--thetadot0", "0.3", "--tau", "2",
+    ],
+    "metrics-power_law-gamma": [
+        "metrics", "--scheme", "power_law", "--gamma", "0.8", "--lambda", "1.5",
+        "--theta0", "0.5", "--thetadot0", "0.2", "--tau", "2",
+    ],
+    "metrics-oscillating-window": [
+        "metrics", "--scheme", "oscillating", "--lambda", "1.2", "--theta0", "0.8",
+        "--thetadot0", "0.05", "--tau", "3", "--xi0", "0.25", "--tau0", "0.5",
+    ],
+    "geodesic-constant": ["geodesic", "--scheme", "constant", "--xi-end", "2",
+                          "--samples", "41"],
+    "geodesic-oscillating": ["geodesic", "--scheme", "oscillating", "--lambda", "0.5",
+                             "--xi-end", "2", "--samples", "41"],
+    "geodesic-power_law": ["geodesic", "--scheme", "power_law", "--lambda", "0.5",
+                           "--xi-end", "2", "--samples", "41"],
+    "geodesic-exponential": ["geodesic", "--scheme", "exponential", "--lambda", "0.5",
+                             "--xi-end", "2", "--samples", "41"],
+    "figure1": ["figure1", "--lambda-count", "31", "--tau-count", "31"],
+    "figure2": ["figure2", "--lambda-count", "31", "--grid-count", "9",
+                "--output", "{out}/fig2.csv"],
+    "table1": ["table1"],
+    "crossover": ["crossover"],
+    "domain-error": ["metrics", "--scheme", "power_law", "--lambda", "-1"],
+}
+
+
+def fingerprint() -> dict:
+    """What decides the last bit of a float on this host."""
+    import numpy as np
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return {
+        "numpy": np.__version__,
+        "cpu_features": sorted(k for k, on in __cpu_features__.items() if on),
+        "machine": platform.machine(),
+        "libc": " ".join(platform.libc_ver()),
+    }
+
+
+def run_case(argv: list[str]) -> dict[str, bytes]:
+    """Run one argv through ``cli.main`` in this process; return its
+    outcome as {"exit_code", "stdout", "stderr", "file.<name>"...}."""
+    from entrogeo import cli
+
+    out_dir = Path(tempfile.mkdtemp(prefix="entrogeo-golden-"))
+    try:
+        argv = [a.replace("{out}", str(out_dir)) for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse errors
+                rc = exc.code
+        outcome = {
+            "exit_code": f"{rc}\n".encode(),
+            "stdout": stdout.getvalue().encode(),
+            "stderr": stderr.getvalue().encode(),
+        }
+        for path in sorted(out_dir.iterdir()):
+            outcome[f"file.{path.name}"] = path.read_bytes()
+        return outcome
+    finally:
+        shutil.rmtree(out_dir, ignore_errors=True)
+
+
+def load_case(name: str) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted((HERE / name).iterdir())}
+
+
+def main() -> int:
+    for name, argv in CASES.items():
+        case_dir = HERE / name
+        shutil.rmtree(case_dir, ignore_errors=True)
+        case_dir.mkdir()
+        for key, data in run_case(argv).items():
+            (case_dir / key).write_bytes(data)
+    FINGERPRINT.write_text(json.dumps(fingerprint(), indent=1) + "\n")
+    print(f"wrote {len(CASES)} cases to {HERE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
