@@ -34,7 +34,7 @@ from .geometry import (
     geodesic_closed_form,
     geodesic_numeric,
 )
-from .schemes import DrivingScheme, SchemeKind
+from .schemes import PROFILES, DrivingScheme, SchemeKind, standard_schemes
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -134,20 +134,6 @@ def _build_scheme(args) -> DrivingScheme:
     return DrivingScheme.resonant(kind, lam=args.lam, hbar=args.hbar)
 
 
-# --- rescaled closed forms shared by the figure emitters -----------------
-
-def _shape(kind: SchemeKind, lam: np.ndarray, theta0: float) -> np.ndarray:
-    """Intensity shape w(theta0) as a function of lam (vectorized)."""
-    u = np.asarray(lam, dtype=float) * theta0
-    if kind is SchemeKind.CONSTANT:
-        return np.ones_like(u)
-    if kind is SchemeKind.OSCILLATING:
-        return np.cos(u)
-    if kind is SchemeKind.POWER_LAW:
-        return (1.0 + u) ** -2
-    return np.exp(-u)
-
-
 def _eta_sym_raw(r: np.ndarray, r_min: np.ndarray) -> np.ndarray:
     total = r + r_min
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -228,14 +214,14 @@ def cmd_figure1(args) -> int:
     if len(lam) != len(tau):
         raise DomainError("lambda and tau grids must have equal counts")
     theta0 = args.theta0
-    kinds = [SchemeKind.CONSTANT, SchemeKind.OSCILLATING,
-             SchemeKind.POWER_LAW, SchemeKind.EXPONENTIAL]
-    rtilde = {k: _shape(k, lam, theta0) ** 2 for k in kinds}
+    kinds = list(SchemeKind)
+    rtilde = {k: PROFILES[k].w(np, lam * theta0) ** 2 for k in kinds}
     stack = np.vstack([rtilde[k] for k in kinds])
     r_min = stack.min(axis=0)
     eta = {k: _eta_sym_raw(rtilde[k], r_min) for k in kinds}
     # panel (c): rescaled complexity vs tau at fixed lambda
-    ctilde = {k: float(_shape(k, args.lambda_c, theta0)) * tau for k in kinds}
+    u_c = np.float64(args.lambda_c) * theta0
+    ctilde = {k: float(PROFILES[k].w(np, u_c)) * tau for k in kinds}
     cfg = _cfg(args)
     text = _csv(
         "figure1", cfg,
@@ -269,13 +255,13 @@ def cmd_figure1(args) -> int:
 
 def cmd_figure2(args) -> int:
     lam = np.linspace(args.lambda_start, args.lambda_stop, args.lambda_count)
-    theta0 = args.theta0
+    u = lam * args.theta0
     # rates at shared gamma tied to lambda through the resonance constraint
     prefactor = (math.pi * lam * args.thetadot0) ** 2
-    re_exp = prefactor * _shape(SchemeKind.EXPONENTIAL, lam, theta0) ** 2
-    re_pow = prefactor * _shape(SchemeKind.POWER_LAW, lam, theta0) ** 2
+    re_exp = prefactor * PROFILES[SchemeKind.EXPONENTIAL].w(np, u) ** 2
+    re_pow = prefactor * PROFILES[SchemeKind.POWER_LAW].w(np, u) ** 2
     exp_cooler = (re_exp <= re_pow).astype(float)
-    ratio_igc = np.exp(-lam * theta0) * (1.0 + lam * theta0) ** 2
+    ratio_igc = np.exp(-u) * (1.0 + u) ** 2
     ratio_rate = ratio_igc**2
     cfg = _cfg(args)
     text = _csv(
@@ -324,14 +310,7 @@ _TABLE_ORDER = (SchemeKind.EXPONENTIAL, SchemeKind.POWER_LAW,
 
 
 def cmd_table1(args) -> int:
-    gamma = 0.5 * math.pi * args.hbar * args.lam
-    schemes = []
-    for kind in (SchemeKind.CONSTANT, SchemeKind.OSCILLATING,
-                 SchemeKind.POWER_LAW, SchemeKind.EXPONENTIAL):
-        if kind is SchemeKind.CONSTANT:
-            schemes.append(DrivingScheme(kind=kind, gamma=gamma, hbar=args.hbar))
-        else:
-            schemes.append(DrivingScheme.resonant(kind, lam=args.lam, hbar=args.hbar))
+    schemes = standard_schemes(lam=args.lam, hbar=args.hbar)
     ranking = efficiency.rank_schemes(schemes, args.theta0, args.thetadot0)
     expected = tuple(k.value for k in _TABLE_ORDER)
     conforms = ranking.order == expected

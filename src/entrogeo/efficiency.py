@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, NoSignChange
 from .geometry import fisher_closed_form
-from .schemes import DrivingScheme, SchemeKind
+from .schemes import PROFILES, DrivingScheme, SchemeKind
 
 _BRENT_XTOL = 1e-10
 
@@ -121,19 +121,6 @@ def rank_schemes(
     )
 
 
-def _rescaled_rate(kind: SchemeKind, lam: float, theta0: float) -> float:
-    """Rate shape factor w(theta0)^2 with the (2 gamma / hbar)^2 thetadot0^2
-    prefactor stripped; it is common to schemes sharing gamma."""
-    if kind is SchemeKind.CONSTANT or lam == 0.0:
-        return 1.0
-    u = lam * theta0
-    if kind is SchemeKind.OSCILLATING:
-        return math.cos(u) ** 2
-    if kind is SchemeKind.POWER_LAW:
-        return (1.0 + u) ** -4
-    return math.exp(-2.0 * u)
-
-
 def rate_crossover(
     scheme_a: SchemeKind | DrivingScheme,
     scheme_b: SchemeKind | DrivingScheme,
@@ -142,13 +129,15 @@ def rate_crossover(
 ) -> float:
     """Value of lam where the two schemes' entropy rates cross at theta0.
 
-    Rates are compared at shared gamma, so only the shape factors matter.
+    Rates are compared at shared gamma, so only the metric factors
+    m(lam * theta0) matter.
     """
     kind_a = scheme_a.kind if isinstance(scheme_a, DrivingScheme) else SchemeKind(scheme_a)
     kind_b = scheme_b.kind if isinstance(scheme_b, DrivingScheme) else SchemeKind(scheme_b)
+    m_a, m_b = PROFILES[kind_a].m, PROFILES[kind_b].m
 
     def diff(lam: float) -> float:
-        return _rescaled_rate(kind_a, lam, theta0) - _rescaled_rate(kind_b, lam, theta0)
+        return m_a(math, lam * theta0) - m_b(math, lam * theta0)
 
     a, b = lambda_bracket
     fa, fb = diff(a), diff(b)

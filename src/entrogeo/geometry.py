@@ -27,7 +27,7 @@ from .errors import (
     OutOfValidity,
     StepFailure,
 )
-from .schemes import DrivingScheme, ProbabilityPath, SchemeKind
+from .schemes import PROFILES, DrivingScheme, ProbabilityPath, SchemeKind
 
 _METRIC_FLOOR = 1e-12
 _P_FLOOR = 1e-12
@@ -36,7 +36,6 @@ _VALIDITY_MARGIN = 0.999
 
 class MetricSource(str, Enum):
     CLOSED_FORM = "closed_form"
-    NUMERIC_FROM_PATH = "numeric_from_path"
 
 
 class GeodesicFormulation(str, Enum):
@@ -60,21 +59,14 @@ class MetricField:
 def fisher_closed_form(scheme: DrivingScheme) -> MetricField:
     """Closed-form Fisher information g = (2*gamma/hbar)^2 * shape^2."""
     g0 = (2.0 * scheme.gamma / scheme.hbar) ** 2
-    lam = scheme.lam
-    kind = scheme.kind
-    if kind is SchemeKind.CONSTANT:
-        g = lambda th: g0
-        dg = lambda th: 0.0
-    elif kind is SchemeKind.OSCILLATING:
-        g = lambda th: g0 * math.cos(lam * th) ** 2
-        dg = lambda th: -g0 * lam * math.sin(2.0 * lam * th)
-    elif kind is SchemeKind.POWER_LAW:
-        g = lambda th: g0 * (1.0 + lam * th) ** -4
-        dg = lambda th: -4.0 * g0 * lam * (1.0 + lam * th) ** -5
-    else:
-        g = lambda th: g0 * math.exp(-2.0 * lam * th)
-        dg = lambda th: -2.0 * lam * g0 * math.exp(-2.0 * lam * th)
-    return MetricField(g=g, dg_dtheta=dg, source=MetricSource.CLOSED_FORM, kind=kind)
+    lam = scheme.u_scale
+    profile = PROFILES[scheme.kind]
+    return MetricField(
+        g=lambda th: g0 * profile.m(math, lam * th),
+        dg_dtheta=lambda th: g0 * lam * profile.dm(math, lam * th),
+        source=MetricSource.CLOSED_FORM,
+        kind=scheme.kind,
+    )
 
 
 def fisher_numeric(path: ProbabilityPath, theta: float, h: Optional[float] = None) -> float:
@@ -98,34 +90,6 @@ def fisher_numeric(path: ProbabilityPath, theta: float, h: Optional[float] = Non
     return pw * dlog_w**2 + pp * dlog_p**2
 
 
-def metric_from_path(path: ProbabilityPath, h: Optional[float] = None) -> MetricField:
-    """Metric field backed by finite differences on the path (dual route)."""
-
-    def g(theta: float) -> float:
-        return fisher_numeric(path, theta, h=h)
-
-    def dg(theta: float) -> float:
-        step = 1e-5 * max(1.0, abs(theta))
-        return (g(theta + step) - g(theta - step)) / (2.0 * step)
-
-    return MetricField(g=g, dg_dtheta=dg, source=MetricSource.NUMERIC_FROM_PATH)
-
-
-def _validity_end(kind: SchemeKind, lam, xi0, theta0, thetadot0) -> float:
-    if kind is SchemeKind.CONSTANT:
-        return math.inf
-    if kind is SchemeKind.OSCILLATING:
-        c = math.cos(lam * theta0)
-        if c <= 0.0:
-            raise DomainError(
-                f"oscillating geodesic needs cos(lam*theta0) > 0, got {c}"
-            )
-        return xi0 + (1.0 - math.sin(lam * theta0)) / (lam * thetadot0 * c)
-    if kind is SchemeKind.POWER_LAW:
-        return xi0 + (1.0 + lam * theta0) / (lam * thetadot0)
-    return xi0 + 1.0 / (lam * thetadot0)
-
-
 @dataclass(frozen=True)
 class Geodesic:
     """Closed-form geodesic theta(xi) for one driving scheme.
@@ -140,49 +104,30 @@ class Geodesic:
     thetadot0: float
     validity_end: float
 
-    def _check(self, xi) -> None:
-        xi = np.asarray(xi, dtype=float)
-        if np.any(xi < self.xi0) or np.any(xi >= self.validity_end):
-            raise OutOfValidity(
-                f"xi outside [{self.xi0}, {self.validity_end}) for "
-                f"{self.scheme.kind.value} geodesic"
-            )
+    def _eval(self, form, xi):
+        # Scalars skip the array conversion, but both paths call numpy's
+        # elementwise kernels: on CPUs where numpy uses SIMD arcsin/log1p,
+        # math.asin/log1p round differently in ~8 % of inputs, and
+        # theta(xi) must not depend on whether xi came in an array.
+        args = (np, self.scheme.u_scale, self.theta0, self.thetadot0)
+        if isinstance(xi, (float, int)):
+            if self.xi0 <= xi < self.validity_end:
+                return float(form(*args, xi - self.xi0))
+        else:
+            xi = np.asarray(xi, dtype=float)
+            if not (np.any(xi < self.xi0) or np.any(xi >= self.validity_end)):
+                out = form(*args, xi - self.xi0)
+                return out if out.ndim else float(out)
+        raise OutOfValidity(
+            f"xi outside [{self.xi0}, {self.validity_end}) for "
+            f"{self.scheme.kind.value} geodesic"
+        )
 
     def theta(self, xi):
-        self._check(xi)
-        xi = np.asarray(xi, dtype=float)
-        s = xi - self.xi0
-        kind, lam = self.scheme.kind, self.scheme.lam
-        th0, thd0 = self.theta0, self.thetadot0
-        if kind is SchemeKind.CONSTANT:
-            out = th0 + thd0 * s
-        elif kind is SchemeKind.OSCILLATING:
-            arg = lam * math.cos(lam * th0) * thd0 * s + math.sin(lam * th0)
-            out = np.arcsin(np.clip(arg, -1.0, 1.0)) / lam
-        elif kind is SchemeKind.POWER_LAW:
-            d = (1.0 + lam * th0) - lam * thd0 * s
-            out = ((1.0 + lam * th0) ** 2 / d - 1.0) / lam
-        else:
-            out = th0 - np.log1p(-lam * thd0 * s) / lam
-        return out if out.ndim else float(out)
+        return self._eval(PROFILES[self.scheme.kind].theta, xi)
 
     def thetadot(self, xi):
-        self._check(xi)
-        xi = np.asarray(xi, dtype=float)
-        s = xi - self.xi0
-        kind, lam = self.scheme.kind, self.scheme.lam
-        th0, thd0 = self.theta0, self.thetadot0
-        if kind is SchemeKind.CONSTANT:
-            out = np.full_like(s, thd0)
-        elif kind is SchemeKind.OSCILLATING:
-            arg = lam * math.cos(lam * th0) * thd0 * s + math.sin(lam * th0)
-            out = math.cos(lam * th0) * thd0 / np.sqrt(1.0 - arg**2)
-        elif kind is SchemeKind.POWER_LAW:
-            d = (1.0 + lam * th0) - lam * thd0 * s
-            out = thd0 * (1.0 + lam * th0) ** 2 / d**2
-        else:
-            out = thd0 / (1.0 - lam * thd0 * s)
-        return out if out.ndim else float(out)
+        return self._eval(PROFILES[self.scheme.kind].thetadot, xi)
 
 
 def geodesic_closed_form(
@@ -191,7 +136,7 @@ def geodesic_closed_form(
     """Closed-form geodesic launched from (theta0 > 0, thetadot0 > 0)."""
     if theta0 <= 0 or thetadot0 <= 0:
         raise DomainError("geodesics require theta0 > 0 and thetadot0 > 0")
-    end = _validity_end(scheme.kind, scheme.lam, xi0, theta0, thetadot0)
+    end = xi0 + PROFILES[scheme.kind].validity(math, scheme.u_scale, theta0, thetadot0)
     return Geodesic(
         scheme=scheme, xi0=xi0, theta0=theta0, thetadot0=thetadot0, validity_end=end
     )

@@ -10,13 +10,16 @@ Four transverse-field intensity profiles are supported,
 On resonance the success probability depends only on the integrated
 phase f(t) = int_0^t w(t') / hbar dt', through p_w = sin^2(f).  The
 statistical parameter theta is identified with the elapsed time t.
+
+Each kind's closed forms live in one ``Profile`` in ``PROFILES``, written
+in u = lam * theta (lam := 1 for the constant kind).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import DomainError
 
@@ -28,6 +31,99 @@ class SchemeKind(str, Enum):
     OSCILLATING = "oscillating"
     POWER_LAW = "power_law"
     EXPONENTIAL = "exponential"
+
+
+@dataclass(frozen=True)
+class Profile:
+    """Closed forms of one scheme kind in u = lam * theta.
+
+    Every callable takes the math namespace ``xp`` first: ``math`` for
+    Python floats, ``numpy`` for arrays.  Launch-point terms in theta0
+    are always scalars and use ``math``.  The metric factor m keeps its
+    own form instead of w(u)**2, which rounds differently.
+    """
+
+    w: Callable  # (xp, u) -> intensity shape w/gamma
+    m: Callable  # (xp, u) -> metric factor g/g0 = w(u)**2, g0 = (2 gamma/hbar)**2
+    dm: Callable  # (xp, u) -> dm/du
+    phase: Callable  # (xp, u) -> F(u) = int_0^u w; f(theta) = gamma/(hbar lam) F(u)
+    # geodesic through (theta0, thetadot0) at s = xi - xi0 = 0:
+    theta: Callable  # (xp, lam, theta0, thetadot0, s) -> theta
+    thetadot: Callable  # (xp, lam, theta0, thetadot0, s) -> dtheta/dxi
+    validity: Callable  # (xp, lam, theta0, thetadot0) -> s where theta(s) ends
+    u_max: float  # upper end of the admissible u interval
+
+
+def _oscillating_theta(xp, lam, th0, thd0, s):
+    arg = lam * math.cos(lam * th0) * thd0 * s + math.sin(lam * th0)
+    return xp.asin(xp.minimum(arg, 1.0)) / lam
+
+
+def _oscillating_thetadot(xp, lam, th0, thd0, s):
+    arg = lam * math.cos(lam * th0) * thd0 * s + math.sin(lam * th0)
+    return math.cos(lam * th0) * thd0 / xp.sqrt(1.0 - arg * arg)
+
+
+def _oscillating_validity(xp, lam, th0, thd0):
+    c = xp.cos(lam * th0)
+    if c <= 0.0:
+        raise DomainError(f"oscillating geodesic needs cos(lam*theta0) > 0, got {c}")
+    return (1.0 - xp.sin(lam * th0)) / (lam * thd0 * c)
+
+
+def _power_law_theta(xp, lam, th0, thd0, s):
+    d = (1.0 + lam * th0) - lam * thd0 * s
+    return ((1.0 + lam * th0) ** 2 / d - 1.0) / lam
+
+
+def _power_law_thetadot(xp, lam, th0, thd0, s):
+    d = (1.0 + lam * th0) - lam * thd0 * s
+    return thd0 * (1.0 + lam * th0) ** 2 / (d * d)
+
+
+PROFILES: dict[SchemeKind, Profile] = {
+    # u ** 0 is 1 shaped like u, for every u
+    SchemeKind.CONSTANT: Profile(
+        w=lambda xp, u: u**0,
+        m=lambda xp, u: u**0,
+        dm=lambda xp, u: 0.0 * u**0,
+        phase=lambda xp, u: u,
+        theta=lambda xp, lam, th0, thd0, s: th0 + thd0 * s,
+        thetadot=lambda xp, lam, th0, thd0, s: thd0 * s**0,
+        validity=lambda xp, lam, th0, thd0: math.inf,
+        u_max=math.inf,
+    ),
+    SchemeKind.OSCILLATING: Profile(
+        w=lambda xp, u: xp.cos(u),
+        m=lambda xp, u: xp.cos(u) ** 2,
+        dm=lambda xp, u: -xp.sin(2.0 * u),
+        phase=lambda xp, u: xp.sin(u),
+        theta=_oscillating_theta,
+        thetadot=_oscillating_thetadot,
+        validity=_oscillating_validity,
+        u_max=0.5 * math.pi,
+    ),
+    SchemeKind.POWER_LAW: Profile(
+        w=lambda xp, u: (1.0 + u) ** -2,
+        m=lambda xp, u: (1.0 + u) ** -4,
+        dm=lambda xp, u: -4.0 * (1.0 + u) ** -5,
+        phase=lambda xp, u: 1.0 - 1.0 / (1.0 + u),
+        theta=_power_law_theta,
+        thetadot=_power_law_thetadot,
+        validity=lambda xp, lam, th0, thd0: (1.0 + lam * th0) / (lam * thd0),
+        u_max=math.inf,
+    ),
+    SchemeKind.EXPONENTIAL: Profile(
+        w=lambda xp, u: xp.exp(-u),
+        m=lambda xp, u: xp.exp(-2.0 * u),
+        dm=lambda xp, u: -2.0 * xp.exp(-2.0 * u),
+        phase=lambda xp, u: -xp.expm1(-u),
+        theta=lambda xp, lam, th0, thd0, s: th0 - xp.log1p(-lam * thd0 * s) / lam,
+        thetadot=lambda xp, lam, th0, thd0, s: thd0 / (1.0 - lam * thd0 * s),
+        validity=lambda xp, lam, th0, thd0: 1.0 / (lam * thd0),
+        u_max=math.inf,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -82,11 +178,14 @@ class DrivingScheme:
         return cls(kind=kind, lam=lam, hbar=hbar, resonance_max_constraint=True)
 
     @property
+    def u_scale(self) -> float:
+        """lam in u = lam * theta; 1 for the constant kind, which has no lam."""
+        return 1.0 if self.kind is SchemeKind.CONSTANT else self.lam
+
+    @property
     def theta_max(self) -> float:
         """Upper end of the admissible theta interval."""
-        if self.kind is SchemeKind.OSCILLATING:
-            return 0.5 * math.pi / self.lam
-        return math.inf
+        return PROFILES[self.kind].u_max / self.u_scale
 
     def _check_theta(self, theta: float) -> None:
         if theta < -_DOMAIN_TOL:
@@ -101,13 +200,7 @@ class DrivingScheme:
     def shape(self, theta: float) -> float:
         """Dimensionless intensity shape w(theta)/gamma, domain-checked."""
         self._check_theta(theta)
-        if self.kind is SchemeKind.CONSTANT:
-            return 1.0
-        if self.kind is SchemeKind.OSCILLATING:
-            return math.cos(self.lam * theta)
-        if self.kind is SchemeKind.POWER_LAW:
-            return (1.0 + self.lam * theta) ** -2
-        return math.exp(-self.lam * theta)
+        return PROFILES[self.kind].w(math, self.u_scale * theta)
 
 
 def field_intensity(scheme: DrivingScheme, t: float) -> float:
@@ -118,15 +211,19 @@ def field_intensity(scheme: DrivingScheme, t: float) -> float:
 def integrated_phase(scheme: DrivingScheme, theta: float) -> float:
     """Accumulated phase f(theta) = int_0^theta w(t')/hbar dt' (closed form)."""
     scheme._check_theta(theta)
-    g = scheme.gamma / scheme.hbar
-    if scheme.kind is SchemeKind.CONSTANT:
-        return g * theta
-    u = scheme.lam * theta
-    if scheme.kind is SchemeKind.OSCILLATING:
-        return g / scheme.lam * math.sin(u)
-    if scheme.kind is SchemeKind.POWER_LAW:
-        return g / scheme.lam * (1.0 - 1.0 / (1.0 + u))
-    return g / scheme.lam * -math.expm1(-u)
+    lam = scheme.u_scale
+    return scheme.gamma / scheme.hbar / lam * PROFILES[scheme.kind].phase(math, lam * theta)
+
+
+def standard_schemes(lam: float = 0.5, hbar: float = 1.0) -> list[DrivingScheme]:
+    """The four schemes at shared gamma = (pi/2) * hbar * lam."""
+    gamma = 0.5 * math.pi * hbar * lam
+    return [
+        DrivingScheme(kind=kind, gamma=gamma, hbar=hbar)
+        if kind is SchemeKind.CONSTANT
+        else DrivingScheme.resonant(kind, lam=lam, hbar=hbar)
+        for kind in SchemeKind
+    ]
 
 
 @dataclass(frozen=True)
@@ -144,9 +241,6 @@ class ProbabilityPath:
 
     def p_w(self, theta: float) -> float:
         return math.sin(self.phase(theta)) ** 2
-
-    def p_wperp(self, theta: float) -> float:
-        return math.cos(self.phase(theta)) ** 2
 
     def probabilities(self, theta: float) -> tuple[float, float]:
         f = self.phase(theta)

@@ -39,28 +39,11 @@ from .schemes import (
     field_intensity,
     integrated_phase,
     probability_path,
+    standard_schemes,
     transition_probability,
 )
 
 _SEED = 20230817
-ALL_KINDS = (
-    SchemeKind.CONSTANT,
-    SchemeKind.OSCILLATING,
-    SchemeKind.POWER_LAW,
-    SchemeKind.EXPONENTIAL,
-)
-
-
-def standard_schemes(lam: float = 0.5, hbar: float = 1.0) -> list[DrivingScheme]:
-    """The four schemes at shared gamma = (pi/2) * hbar * lam."""
-    gamma = 0.5 * math.pi * hbar * lam
-    out = []
-    for kind in ALL_KINDS:
-        if kind is SchemeKind.CONSTANT:
-            out.append(DrivingScheme(kind=kind, gamma=gamma, hbar=hbar))
-        else:
-            out.append(DrivingScheme.resonant(kind, lam=lam, hbar=hbar))
-    return out
 
 
 def _random_thetas(rng, scheme: DrivingScheme, n: int, margin: float = 0.05):
@@ -325,9 +308,9 @@ def check_rate_ordering():
         if not chain:
             continue
         rates = {
-            kind: efficiency.entropy_rate_of_scheme(s, theta0, thetadot0)
+            s.kind: efficiency.entropy_rate_of_scheme(s, theta0, thetadot0)
             / s.gamma**2
-            for kind, s in zip(ALL_KINDS, standard_schemes(lam=lam))
+            for s in standard_schemes(lam=lam)
         }
         assert (
             rates[SchemeKind.EXPONENTIAL]

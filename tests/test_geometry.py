@@ -99,6 +99,13 @@ class TestClosedFormGeodesics:
         with pytest.raises(OutOfValidity):
             geo.theta(-0.5)
 
+    @pytest.mark.parametrize("kind", list(SchemeKind))
+    def test_scalar_and_array_evaluation_agree_bitwise(self, kind):
+        geo = geodesic_closed_form(scheme_of(kind), **IC)
+        xi = np.linspace(0.0, 0.999 * min(geo.validity_end, 50.0), 4001)
+        for f in (geo.theta, geo.thetadot):
+            assert [f(x) for x in xi.tolist()] == f(xi).tolist()
+
     def test_oscillating_needs_positive_cos(self):
         # cos(2.6) < 0: the launch point sits past a turning point
         s = DrivingScheme.resonant(SchemeKind.OSCILLATING, lam=2.6)
