@@ -91,14 +91,16 @@ def _csv(
     cfg: dict,
     comments: Sequence[str],
     header: Sequence[str],
-    rows: Iterable[Sequence[float]],
+    lines: Iterable[str],
 ) -> str:
-    lines = [f"# entrogeo v{__version__} {command} {_config_hash(cfg)}"]
-    lines += [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(x) for x in row))
-    return "\n".join(lines) + "\n"
+    head = [f"# entrogeo v{__version__} {command} {_config_hash(cfg)}"]
+    head += [f"# {c}" for c in comments]
+    head.append(",".join(header))
+    return "\n".join([*head, *lines]) + "\n"
+
+
+def _fmt_rows(rows: Iterable[Sequence[float]]) -> Iterable[str]:
+    return (",".join(_fmt(x) for x in row) for row in rows)
 
 
 def _json_text(command: str, cfg: dict, payload: dict) -> str:
@@ -202,7 +204,7 @@ def cmd_geodesic(args) -> int:
         ],
         header=["xi", "theta_closed", "thetadot_closed",
                 "theta_christoffel", "theta_divergence"],
-        rows=zip(num_c.xi, theta_cf, thetadot_cf, num_c.theta, num_d.theta),
+        lines=_fmt_rows(zip(num_c.xi, theta_cf, thetadot_cf, num_c.theta, num_d.theta)),
     )
     _emit(text, args.output)
     return EXIT_OK
@@ -240,7 +242,7 @@ def cmd_figure1(args) -> int:
             + ["tau"]
             + [f"ctilde_{k.value}" for k in kinds]
         ),
-        rows=(
+        lines=_fmt_rows(
             [lam[i]]
             + [rtilde[k][i] for k in kinds]
             + [eta[k][i] for k in kinds]
@@ -275,7 +277,7 @@ def cmd_figure2(args) -> int:
         ],
         header=["lambda", "re_exponential", "re_powerlaw", "exp_cooler",
                 "ratio_igc", "ratio_rate"],
-        rows=zip(lam, re_exp, re_pow, exp_cooler, ratio_igc, ratio_rate),
+        lines=_fmt_rows(zip(lam, re_exp, re_pow, exp_cooler, ratio_igc, ratio_rate)),
     )
     _emit(text, args.output)
 
@@ -285,9 +287,13 @@ def cmd_figure2(args) -> int:
     theta0_grid = np.linspace(args.grid_theta0_max / n, args.grid_theta0_max, n)
     lam_grid = np.linspace(args.grid_lambda_max / n, args.grid_lambda_max, n)
     _check_threads_env()
-    th0, lam2 = np.meshgrid(theta0_grid, lam_grid, indexing="ij")
-    flags = (lam2 * th0 >= u_star).astype(float)
-    rows = zip(th0.ravel().tolist(), lam2.ravel().tolist(), flags.ravel().tolist())
+    # n^2 rows from 2n distinct coordinates: format each coordinate once
+    lam_cells = [(lam_v, _fmt(lam_v)) for lam_v in lam_grid.tolist()]
+    lines = (
+        f"{th_txt},{lam_txt},{'1' if lam_v * th_v >= u_star else '0'}"
+        for th_v, th_txt in ((t, _fmt(t)) for t in theta0_grid.tolist())
+        for lam_v, lam_txt in lam_cells
+    )
     region_text = _csv(
         "figure2-region", cfg,
         comments=[
@@ -295,7 +301,7 @@ def cmd_figure2(args) -> int:
             f"u_star = {_fmt(u_star)}",
         ],
         header=["theta0", "lambda", "exp_cooler"],
-        rows=rows,
+        lines=lines,
     )
     if args.output:
         stem, ext = os.path.splitext(args.output)
