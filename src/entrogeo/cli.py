@@ -54,18 +54,6 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _check_threads_env() -> None:
-    """Validate ENTROGEO_THREADS.  It is accepted for compatibility and
-    has no effect: every emitter runs in one thread."""
-    raw = os.environ.get("ENTROGEO_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return
-    if n < 1:
-        raise DomainError(f"ENTROGEO_THREADS={raw!r} must be a positive integer")
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".entrogeo-")
@@ -286,7 +274,6 @@ def cmd_figure2(args) -> int:
     n = args.grid_count
     theta0_grid = np.linspace(args.grid_theta0_max / n, args.grid_theta0_max, n)
     lam_grid = np.linspace(args.grid_lambda_max / n, args.grid_lambda_max, n)
-    _check_threads_env()
     # n^2 rows from 2n distinct coordinates: format each coordinate once
     lam_cells = [(lam_v, _fmt(lam_v)) for lam_v in lam_grid.tolist()]
     lines = (
