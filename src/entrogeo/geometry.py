@@ -180,6 +180,11 @@ def geodesic_numeric(
     formulation = GeodesicFormulation(formulation)
     if theta0 <= 0 or thetadot0 <= 0:
         raise DomainError("geodesics require theta0 > 0 and thetadot0 > 0")
+    if not (math.isfinite(xi0) and math.isfinite(xi_end)):
+        # solve_ivp does not return on a non-finite span
+        raise DomainError(f"integration span [{xi0}, {xi_end}] must be finite")
+    if n_samples < 1:
+        raise DomainError(f"n_samples={n_samples} must be at least 1")
     if math.isfinite(validity_end):
         cap = xi0 + _VALIDITY_MARGIN * (validity_end - xi0)
         if xi_end > cap:

@@ -146,11 +146,12 @@ class DrivingScheme:
     def __post_init__(self):
         kind = SchemeKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        # "not x > 0" also rejects NaN, for which every comparison is false
+        if not (self.hbar > 0 and math.isfinite(self.hbar)):
+            raise ValueError("hbar must be positive and finite")
         if kind is not SchemeKind.CONSTANT:
-            if self.lam is None or self.lam <= 0:
-                raise ValueError(f"{kind.value} scheme requires lam > 0")
+            if self.lam is None or not (self.lam > 0 and math.isfinite(self.lam)):
+                raise ValueError(f"{kind.value} scheme requires finite lam > 0")
         constraint = self.resonance_max_constraint
         if constraint is None:
             # Default on for the lam-shaped profiles when gamma is not
@@ -169,8 +170,8 @@ class DrivingScheme:
                     "gamma = (pi/2) * hbar * lam; pass "
                     "resonance_max_constraint=False to opt out"
                 )
-        if self.gamma is None or self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if self.gamma is None or not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError("gamma must be positive and finite")
 
     @classmethod
     def resonant(cls, kind, lam: float, hbar: float = 1.0) -> "DrivingScheme":

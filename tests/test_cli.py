@@ -55,6 +55,23 @@ class TestExitCodes:
         res = run("crossover", "--bracket", "3", "5")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--scheme", "exponential", "--lambda", "nan"],
+        ["metrics", "--scheme", "exponential", "--lambda", "0.5", "--gamma", "nan"],
+        ["metrics", "--scheme", "constant", "--gamma", "inf"],
+        ["metrics", "--scheme", "constant", "--hbar", "inf"],
+        ["geodesic", "--scheme", "exponential", "--lambda", "0.5", "--xi-end", "nan"],
+        ["geodesic", "--scheme", "constant", "--xi-end", "inf"],
+        ["geodesic", "--scheme", "exponential", "--lambda", "0.5", "--samples", "0"],
+    ], ids=["lambda-nan", "gamma-nan", "gamma-inf", "hbar-inf", "xi-end-nan",
+            "xi-end-inf", "samples-0"])
+    def test_nonfinite_or_degenerate_input_is_usage_error(self, argv):
+        # a hang here used to be the failure mode, hence the timeout
+        res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert "error:" in res.stderr
+        assert "Traceback" not in res.stderr
+
     def test_verify_ok(self):
         assert run("verify", "--filter", "crossover").returncode == 0
 

@@ -60,6 +60,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DrivingScheme(kind=SchemeKind.CONSTANT, gamma=1.0, hbar=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("param", ["gamma", "lam", "hbar"])
+    def test_nonfinite_parameters_rejected(self, param, bad):
+        kw = dict(kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=0.5, hbar=1.0,
+                  resonance_max_constraint=False)
+        kw[param] = bad
+        with pytest.raises(ValueError, match=param):
+            DrivingScheme(**kw)
+
     def test_kind_coerced_from_string(self):
         s = DrivingScheme(kind="constant", gamma=1.0)
         assert s.kind is SchemeKind.CONSTANT
