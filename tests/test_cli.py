@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output format, determinism."""
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -165,6 +166,16 @@ class TestDeterminismAndThreads:
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".entrogeo-")]
         assert leftovers == []
         assert out.exists()
+
+    def test_written_files_follow_umask(self, tmp_path):
+        out = tmp_path / "f2.csv"
+        subprocess.run(
+            ENTROGEO + ["figure2", "--lambda-count", "11", "--grid-count", "5",
+                        "--output", str(out)],
+            capture_output=True, umask=0o022, check=True,
+        )
+        for path in (out, tmp_path / "f2_region.csv"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
     def test_version_flag(self):
         res = run("--version")
