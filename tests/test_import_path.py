@@ -1,6 +1,7 @@
-"""Cold start: the closed-form subcommands never load scipy.
+"""Cold start: the closed-form subcommands never load scipy, nor the
+sympy/mpmath test oracles.
 
-Each case runs in a fresh interpreter, since scipy stays in
+Each case runs in a fresh interpreter, since a module stays in
 ``sys.modules`` once any test in this process has imported it.
 """
 import subprocess
@@ -33,9 +34,12 @@ CASES = {
 }
 
 
+HEAVY = ("scipy", "sympy", "mpmath")
+
+
 @pytest.mark.parametrize("code", CASES.values(), ids=CASES.keys())
 def test_scipy_not_loaded(code):
-    probe = code + "\nimport sys\nprint('scipy' in sys.modules)\n"
+    probe = code + f"\nimport sys\nprint([m for m in {HEAVY!r} if m in sys.modules])\n"
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "[]"
