@@ -106,9 +106,9 @@ class Geodesic:
 
     def _eval(self, form, xi):
         # Scalars skip the array conversion, but both paths call numpy's
-        # elementwise kernels: on CPUs where numpy uses SIMD arcsin/log1p,
-        # math.asin/log1p round differently in ~8 % of inputs, and
-        # theta(xi) must not depend on whether xi came in an array.
+        # elementwise kernels: where numpy uses SIMD arcsin/log1p,
+        # math.asin/log1p round some inputs differently, and theta(xi)
+        # must not depend on whether xi came in an array.
         args = (np, self.scheme.u_scale, self.theta0, self.thetadot0)
         if isinstance(xi, (float, int)):
             if self.xi0 <= xi < self.validity_end:

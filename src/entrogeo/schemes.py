@@ -38,9 +38,11 @@ class Profile:
     """Closed forms of one scheme kind in u = lam * theta.
 
     Every callable takes the math namespace ``xp`` first: ``math`` for
-    Python floats, ``numpy`` for arrays.  Launch-point terms in theta0
-    are always scalars and use ``math``.  The metric factor m keeps its
-    own form instead of w(u)**2, which rounds differently.
+    Python floats, ``numpy`` for arrays.  theta and thetadot are always
+    evaluated with ``numpy`` (see ``Geodesic``) and may use its
+    elementwise ``minimum``; their launch-point terms in theta0 are
+    scalars and use ``math``.  The metric factor m keeps its own form
+    instead of w(u)**2, which rounds differently.
     """
 
     w: Callable  # (xp, u) -> intensity shape w/gamma
