@@ -483,10 +483,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite(args) -> None:
+    """Reject nan/inf in every float argument, --bracket's pair included."""
+    for dest, value in vars(args).items():
+        values = value if isinstance(value, list) else [value]
+        for x in values:
+            if isinstance(x, float) and not math.isfinite(x):
+                name = "lambda" if dest == "lam" else dest.replace("_", "-")
+                raise DomainError(f"--{name} must be finite, got {x}")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_finite(args)
         if args.command == "figure1":
             _check_range(args, "lambda")
             _check_range(args, "tau")
@@ -504,6 +515,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OverflowError as exc:
+        # finite inputs whose derived quantities, such as g0 = (2 gamma/hbar)^2,
+        # do not fit in a float
+        print(f"error: a derived quantity left the float range ({exc.args[-1]})",
+              file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

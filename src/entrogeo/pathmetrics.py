@@ -190,16 +190,31 @@ def report(
     xi0: float = 0.0,
     tau0: float = 0.0,
 ) -> PathMetricsReport:
-    """Full metrics report for one scheme's geodesic over duration tau."""
+    """Full metrics report for one scheme's geodesic over the window
+    [tau0, tau0 + tau].
+
+    Closed form along the geodesic: the speed v and rate r = v^2 are
+    constant there, so L = v tau, I = r tau, C = v tau / 2 and
+    dC/dtau = v / 2, with v and r evaluated once at xi = tau0.  The
+    quadrature routes ``thermodynamic_length``,
+    ``thermodynamic_divergence`` and ``igc`` compute the same fields for
+    any trajectory and serve as its oracle.
+    """
+    if not tau > 0:
+        raise DomainError(f"tau={tau} must be positive")
     metric = fisher_closed_form(scheme)
     geo = geodesic_closed_form(scheme, xi0, theta0, thetadot0)
-    traj = ParamTrajectory.from_geodesic(geo, (tau0, tau0 + tau))
-    v = entropic_speed(metric, traj, tau0)
-    r = entropy_rate_metric(metric, traj, tau0)
-    length = thermodynamic_length(metric, traj)
-    div = thermodynamic_divergence(metric, traj)
-    c, c_rate = igc(metric, geo, tau, tau0)
+    th = geo.theta(tau0)  # OutOfValidity unless xi0 <= tau0 < validity_end
+    if not tau0 + tau < geo.validity_end:
+        raise DomainError(
+            f"window [{tau0}, {tau0 + tau}] exceeds geodesic validity "
+            f"(ends at {geo.validity_end})"
+        )
+    g = metric.g(th)
+    thd = geo.thetadot(tau0)
+    v = math.sqrt(g) * abs(thd)
+    r = g * thd**2
     return PathMetricsReport(
-        v_E=v, r_E=r, length=length, divergence=div,
-        igc=c, igc_rate=c_rate, tau=tau,
+        v_E=v, r_E=r, length=v * tau, divergence=r * tau,
+        igc=0.5 * v * tau, igc_rate=0.5 * v, tau=tau,
     )

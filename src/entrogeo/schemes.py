@@ -24,6 +24,7 @@ from typing import Callable, Optional
 from .errors import DomainError
 
 _DOMAIN_TOL = 1e-12
+_HALF_PI = 0.5 * math.pi
 
 
 class SchemeKind(str, Enum):
@@ -67,10 +68,12 @@ def _oscillating_thetadot(xp, lam, th0, thd0, s):
 
 
 def _oscillating_validity(xp, lam, th0, thd0):
-    c = xp.cos(lam * th0)
-    if c <= 0.0:
-        raise DomainError(f"oscillating geodesic needs cos(lam*theta0) > 0, got {c}")
-    return (1.0 - xp.sin(lam * th0)) / (lam * thd0 * c)
+    # past u = pi/2 the launch point lies beyond a turning point, where
+    # asin in theta(s) would return the wrong branch
+    u0 = lam * th0
+    if not 0.0 < u0 < _HALF_PI:
+        raise DomainError(f"oscillating geodesic needs 0 < lam*theta0 < pi/2, got {u0}")
+    return (1.0 - xp.sin(u0)) / (lam * thd0 * xp.cos(u0))
 
 
 def _power_law_theta(xp, lam, th0, thd0, s):
@@ -103,7 +106,7 @@ PROFILES: dict[SchemeKind, Profile] = {
         theta=_oscillating_theta,
         thetadot=_oscillating_thetadot,
         validity=_oscillating_validity,
-        u_max=0.5 * math.pi,
+        u_max=_HALF_PI,
     ),
     SchemeKind.POWER_LAW: Profile(
         w=lambda xp, u: (1.0 + u) ** -2,

@@ -64,14 +64,80 @@ class TestExitCodes:
         ["geodesic", "--scheme", "exponential", "--lambda", "0.5", "--xi-end", "nan"],
         ["geodesic", "--scheme", "constant", "--xi-end", "inf"],
         ["geodesic", "--scheme", "exponential", "--lambda", "0.5", "--samples", "0"],
+        ["figure1", "--theta0", "nan"],
+        ["figure1", "--lambda-c", "inf"],
+        ["figure2", "--thetadot0", "nan"],
+        ["figure2", "--grid-theta0-max", "nan"],
+        ["crossover", "--bracket", "nan", "5"],
+        ["table1", "--lambda", "inf"],
     ], ids=["lambda-nan", "gamma-nan", "gamma-inf", "hbar-inf", "xi-end-nan",
-            "xi-end-inf", "samples-0"])
+            "xi-end-inf", "samples-0", "figure1-theta0-nan", "figure1-lambda-c-inf",
+            "figure2-thetadot0-nan", "figure2-grid-theta0-max-nan",
+            "crossover-bracket-nan", "table1-lambda-inf"])
     def test_nonfinite_or_degenerate_input_is_usage_error(self, argv):
         # a hang here used to be the failure mode, hence the timeout
         res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
         assert res.returncode == 2, res.stdout + res.stderr
         assert "error:" in res.stderr
         assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("argv,option", [
+        (["figure1", "--theta0", "nan"], "--theta0"),
+        (["figure1", "--lambda-c", "inf"], "--lambda-c"),
+        (["figure2", "--thetadot0", "nan"], "--thetadot0"),
+        (["figure2", "--grid-theta0-max", "nan"], "--grid-theta0-max"),
+        (["crossover", "--bracket", "nan", "5"], "--bracket"),
+        (["table1", "--lambda", "inf"], "--lambda"),
+    ], ids=["figure1-theta0", "figure1-lambda-c", "figure2-thetadot0",
+            "figure2-grid-theta0-max", "crossover-bracket", "table1-lambda"])
+    def test_nonfinite_argument_is_named(self, argv, option):
+        # these used to exit 0 with rows of nan, or exit 2 naming another cause
+        res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stderr.startswith(f"error: {option} must be finite"), res.stderr
+        assert res.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "--scheme", "exponential", "--lambda", "1e300"],
+        ["metrics", "--scheme", "constant", "--gamma", "1e300"],
+        ["metrics", "--scheme", "power_law", "--lambda", "1e200", "--gamma", "1"],
+        ["table1", "--lambda", "1e300"],
+        ["geodesic", "--scheme", "power_law", "--lambda", "1e300"],
+    ], ids=["metrics-exponential", "metrics-constant-gamma", "metrics-power_law",
+            "table1", "geodesic-power_law"])
+    def test_derived_overflow_is_usage_error(self, argv):
+        # finite argv whose derived quantities overflow a float; this used
+        # to end in an OverflowError traceback with exit 1
+        res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stderr.startswith("error: a derived quantity left the float range")
+        assert "Traceback" not in res.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["geodesic", "--scheme", "oscillating", "--lambda", "0.5", "--theta0", "13"],
+        ["metrics", "--scheme", "oscillating", "--lambda", "0.5", "--theta0", "13"],
+    ], ids=["geodesic", "metrics"])
+    def test_oscillating_launch_past_turning_point_is_usage_error(self, argv):
+        res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stderr.startswith("error:")
+        assert res.stdout == ""
+
+    # exponential at lam = 0.5, thetadot0 = 0.1 (default) is valid on [xi0, xi0 + 20)
+    @pytest.mark.parametrize("window", [
+        ["--xi0", "0.25", "--tau0", "0.1"],
+        ["--tau", "25"],
+        ["--tau0", "15", "--tau", "5"],
+        ["--tau0", "20"],
+        ["--tau0", "21"],
+    ], ids=["tau0-before-xi0", "end-past-validity", "end-at-validity",
+            "tau0-at-validity", "tau0-past-validity"])
+    def test_metrics_window_outside_validity_is_usage_error(self, window):
+        argv = ["metrics", "--scheme", "exponential", "--lambda", "0.5", *window]
+        res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stderr.startswith("error:")
+        assert res.stdout == ""
 
     def test_verify_ok(self):
         assert run("verify", "--filter", "crossover").returncode == 0

@@ -112,6 +112,19 @@ class TestClosedFormGeodesics:
         with pytest.raises(DomainError):
             geodesic_closed_form(s, 0.0, 1.0, 0.1)
 
+    def test_oscillating_launch_past_turning_point_rejected(self):
+        # lam*theta0 = 6.5 has cos > 0, but lies past the turning point at
+        # pi/2: asin's principal branch would give theta(xi0) = 0.4336
+        s = DrivingScheme.resonant(SchemeKind.OSCILLATING, lam=0.5)
+        with pytest.raises(DomainError):
+            geodesic_closed_form(s, 0.0, 13.0, 0.1)
+
+    @pytest.mark.parametrize("theta0", [0.1, 1.0, 3.0, 0.999 * math.pi])
+    def test_oscillating_launch_inside_domain_starts_at_theta0(self, theta0):
+        s = DrivingScheme.resonant(SchemeKind.OSCILLATING, lam=0.5)
+        geo = geodesic_closed_form(s, 0.0, theta0, 0.1)
+        assert geo.theta(0.0) == pytest.approx(theta0, rel=1e-12)
+
     @pytest.mark.parametrize("kind", list(SchemeKind))
     def test_residual_vanishes(self, kind):
         scheme = scheme_of(kind)

@@ -1,5 +1,5 @@
-"""Cold start: the closed-form subcommands never load scipy, nor the
-sympy/mpmath test oracles.
+"""Cold start: the closed-form subcommands, ``metrics`` included, never
+load scipy, nor the sympy/mpmath test oracles.
 
 Each case runs in a fresh interpreter, since a module stays in
 ``sys.modules`` once any test in this process has imported it.
@@ -29,6 +29,16 @@ CASES = {
     "figure2": _CLI_CASE.format(
         argv=["figure2", "--lambda-count", "11", "--grid-count", "5"], rc=0),
     "table1": _CLI_CASE.format(argv=["table1", "--lambda", "18"], rc=0),
+    **{
+        f"metrics {kind}": _CLI_CASE.format(
+            argv=["metrics", "--scheme", kind]
+            + ([] if kind == "constant" else ["--lambda", "0.5"]), rc=0)
+        for kind in ("constant", "oscillating", "power_law", "exponential")
+    },
+    "metrics shifted window": _CLI_CASE.format(
+        argv=["metrics", "--scheme", "oscillating", "--lambda", "1.2", "--theta0", "0.8",
+              "--thetadot0", "0.05", "--tau", "3", "--xi0", "0.25", "--tau0", "0.5"],
+        rc=0),
     "domain error": _CLI_CASE.format(
         argv=["metrics", "--scheme", "power_law", "--lambda", "-1"], rc=2),
 }

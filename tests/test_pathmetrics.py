@@ -7,6 +7,7 @@ from entrogeo import (
     DegenerateDistribution,
     DomainError,
     DrivingScheme,
+    OutOfValidity,
     ParamTrajectory,
     SchemeKind,
     entropic_speed,
@@ -16,6 +17,7 @@ from entrogeo import (
     geodesic_closed_form,
     igc,
     igc_asymptotic_slope,
+    integrated_phase,
     probability_path,
     report,
     thermodynamic_divergence,
@@ -157,3 +159,89 @@ class TestDomainGuards:
         geo = geodesic_closed_form(scheme, 0.0, 1.0, 0.1)  # valid to xi = 20
         with pytest.raises(DomainError):
             igc(metric, geo, 25.0)
+
+
+# (lam, gamma, hbar, theta0, thetadot0, tau, xi0, tau0); gamma None means
+# resonant, and the constant kind takes gamma = (pi/2) hbar lam there
+CROSS_POINTS = [
+    (0.2, None, 1.0, 1.0, 0.1, 1.0, 0.0, 0.0),
+    (1.2, None, 1.0, 0.8, 0.05, 3.0, 0.25, 0.5),  # shifted window
+    (2.0, 0.8, 0.7, 0.5, 0.2, 0.5, 0.0, 0.0),  # gamma pinned off resonance
+    (0.7, 1.3, 1.0, 1.1, 0.3, 0.8, -0.4, 0.1),  # pinned, shifted window
+]
+
+
+def cross_scheme(kind, lam, gamma, hbar):
+    if kind is SchemeKind.CONSTANT:
+        return DrivingScheme(
+            kind=kind, gamma=0.5 * math.pi * hbar * lam if gamma is None else gamma,
+            hbar=hbar)
+    if gamma is None:
+        return DrivingScheme.resonant(kind, lam=lam, hbar=hbar)
+    return DrivingScheme(kind=kind, gamma=gamma, lam=lam, hbar=hbar,
+                         resonance_max_constraint=False)
+
+
+@pytest.mark.parametrize("point", CROSS_POINTS, ids=lambda p: f"lam{p[0]}-tau0{p[7]}")
+@pytest.mark.parametrize("kind", ALL_KINDS)
+class TestClosedFormReport:
+    """``report`` is closed form along the geodesic; each field is checked
+    against routes that do not assume constant speed."""
+
+    def test_matches_quadrature(self, kind, point):
+        lam, gamma, hbar, th0, thd0, tau, xi0, tau0 = point
+        scheme = cross_scheme(kind, lam, gamma, hbar)
+        rep = report(scheme, th0, thd0, tau, xi0=xi0, tau0=tau0)
+        metric = fisher_closed_form(scheme)
+        geo = geodesic_closed_form(scheme, xi0, th0, thd0)
+        traj = ParamTrajectory.from_geodesic(geo, (tau0, tau0 + tau))
+        c, c_rate = igc(metric, geo, tau, tau0)
+        assert rep.length == pytest.approx(thermodynamic_length(metric, traj), rel=1e-9)
+        assert rep.divergence == pytest.approx(
+            thermodynamic_divergence(metric, traj), rel=1e-9)
+        assert rep.igc == pytest.approx(c, rel=1e-9)
+        assert rep.igc_rate == pytest.approx(c_rate, rel=1e-9)
+        assert rep.tau == tau
+
+    def test_length_matches_phase_difference(self, kind, point):
+        # sqrt(g) = 2|f'|, so L = 2|f(theta_b) - f(theta_a)| on a monotone path
+        lam, gamma, hbar, th0, thd0, tau, xi0, tau0 = point
+        scheme = cross_scheme(kind, lam, gamma, hbar)
+        rep = report(scheme, th0, thd0, tau, xi0=xi0, tau0=tau0)
+        geo = geodesic_closed_form(scheme, xi0, th0, thd0)
+        f_a = integrated_phase(scheme, geo.theta(tau0))
+        f_b = integrated_phase(scheme, geo.theta(tau0 + tau))
+        assert rep.length == pytest.approx(2.0 * abs(f_b - f_a), rel=1e-12)
+        assert rep.divergence * tau == pytest.approx(rep.length**2, rel=1e-12)
+
+
+class TestReportWindow:
+    # exponential at lam = 0.5, thetadot0 = 0.1 is valid on [xi0, xi0 + 20)
+    SCHEME = DrivingScheme.resonant(SchemeKind.EXPONENTIAL, lam=0.5)
+
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    def test_tau_must_be_positive(self, tau):
+        with pytest.raises(DomainError, match="tau"):
+            report(self.SCHEME, 1.0, 0.1, tau)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_tau0_before_xi0(self, kind):
+        with pytest.raises(OutOfValidity):
+            report(scheme_of(kind), 1.0, 0.1, 1.0, xi0=0.25, tau0=0.1)
+
+    @pytest.mark.parametrize("tau0,tau", [(0.0, 25.0), (15.0, 5.0), (19.0, math.inf)])
+    def test_window_end_past_validity(self, tau0, tau):
+        with pytest.raises(DomainError, match="exceeds geodesic validity"):
+            report(self.SCHEME, 1.0, 0.1, tau, tau0=tau0)
+
+    @pytest.mark.parametrize("tau0", [20.0, 21.0, math.nan])
+    def test_tau0_at_or_past_validity(self, tau0):
+        with pytest.raises(OutOfValidity):
+            report(self.SCHEME, 1.0, 0.1, 1.0, tau0=tau0)
+
+    def test_constant_kind_has_no_validity_end(self):
+        scheme = scheme_of(SchemeKind.CONSTANT)
+        rep = report(scheme, 1.0, 0.1, 1e6, tau0=1e3)
+        assert rep.length == pytest.approx(V_E[SchemeKind.CONSTANT] * 1e6, rel=1e-15)
+        with pytest.raises(DomainError, match="exceeds geodesic validity"):
+            report(scheme, 1.0, 0.1, math.inf)
