@@ -54,6 +54,12 @@ CASES = {
     "figure1": ["figure1", "--lambda-count", "31", "--tau-count", "31"],
     "figure2": ["figure2", "--lambda-count", "31", "--grid-count", "9",
                 "--output", "{out}/fig2.csv"],
+    "figure1-negative-tau": ["figure1", "--lambda-count", "5", "--tau-count", "5",
+                             "--tau-start=-2"],
+    "figure2-negative-grid": ["figure2", "--grid-theta0-max", "-4", "--grid-lambda-max", "-6",
+                              "--grid-count", "9", "--lambda-count", "5"],
+    "figure2-mixed-grid": ["figure2", "--grid-theta0-max", "4", "--grid-lambda-max", "-6",
+                           "--grid-count", "5", "--lambda-count", "3"],
     "table1": ["table1"],
     "crossover": ["crossover"],
     "domain-error": ["metrics", "--scheme", "power_law", "--lambda", "-1"],
