@@ -45,6 +45,10 @@ _DOMAIN_ERRORS = (DomainError, OutOfValidity, NoSignChange, DegenerateDistributi
 _NUMERICAL_ERRORS = (QuadratureFailure, StepFailure, MetricDegenerate)
 
 
+# rows turned into Python floats at a time; bounds the transient lists
+_CHUNK_ROWS = 4096
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -83,16 +87,38 @@ def _csv(
     cfg: dict,
     comments: Sequence[str],
     header: Sequence[str],
-    lines: Iterable[str],
+    blocks: Iterable[str],
 ) -> str:
+    """The stamped CSV text; each of ``blocks`` is one or more whole lines."""
     head = [f"# entrogeo v{__version__} {command} {_config_hash(cfg)}"]
     head += [f"# {c}" for c in comments]
     head.append(",".join(header))
-    return "\n".join([*head, *lines]) + "\n"
+    return "\n".join([*head, *blocks]) + "\n"
 
 
-def _fmt_rows(rows: Iterable[Sequence[float]]) -> Iterable[str]:
-    return (",".join(_fmt(x) for x in row) for row in rows)
+def _format_rows(*columns: np.ndarray) -> list[str]:
+    """CSV lines of equal-length numeric columns, as blocks of up to
+    ``_CHUNK_ROWS`` lines for ``_csv``.
+
+    Byte contract: every cell is ``%.17g`` of its float64 value, exactly
+    what ``f"{x:.17g}"`` writes.  Seventeen significant digits round-trip
+    every double, and the digits are fixed by the value alone, so output
+    is bit-identical for one config.  ``repr`` is faster but writes the
+    shortest round-trip form (0.1, not 0.10000000000000001), so it would
+    change the bytes of every recorded output.
+
+    Raises OverflowError, before any text is made, if a cell is nan or inf.
+    """
+    table = np.column_stack(columns)
+    finite = np.isfinite(table)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise OverflowError(f"CSV cell at row {row + 1}, column {col + 1} is {table[row, col]}")
+    template = ",".join(["%.17g"] * table.shape[1])
+    return [
+        "\n".join([template % tuple(row) for row in table[a:a + _CHUNK_ROWS].tolist()])
+        for a in range(0, len(table), _CHUNK_ROWS)
+    ]
 
 
 def _json_text(command: str, cfg: dict, payload: dict) -> str:
@@ -102,7 +128,10 @@ def _json_text(command: str, cfg: dict, payload: dict) -> str:
         "config_hash": _config_hash(cfg),
         **payload,
     }
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    try:
+        return json.dumps(doc, indent=2, sort_keys=False, allow_nan=False) + "\n"
+    except ValueError as exc:  # nan or inf, which JSON cannot carry
+        raise OverflowError(f"{command} result is not finite") from exc
 
 
 def _cfg(args) -> dict:
@@ -196,26 +225,29 @@ def cmd_geodesic(args) -> int:
         ],
         header=["xi", "theta_closed", "thetadot_closed",
                 "theta_christoffel", "theta_divergence"],
-        lines=_fmt_rows(zip(num_c.xi, theta_cf, thetadot_cf, num_c.theta, num_d.theta)),
+        blocks=_format_rows(num_c.xi, theta_cf, thetadot_cf, num_c.theta, num_d.theta),
     )
     _emit(text, args.output)
     return EXIT_OK
 
 
 def cmd_figure1(args) -> int:
-    lam = np.linspace(args.lambda_start, args.lambda_stop, args.lambda_count)
-    tau = np.linspace(args.tau_start, args.tau_stop, args.tau_count)
-    if len(lam) != len(tau):
+    if args.lambda_count != args.tau_count:
         raise DomainError("lambda and tau grids must have equal counts")
     theta0 = args.theta0
     kinds = list(SchemeKind)
-    rtilde = {k: PROFILES[k].w(np, lam * theta0) ** 2 for k in kinds}
-    stack = np.vstack([rtilde[k] for k in kinds])
-    r_min = stack.min(axis=0)
-    eta = {k: _eta_sym_raw(rtilde[k], r_min) for k in kinds}
-    # panel (c): rescaled complexity vs tau at fixed lambda
-    u_c = np.float64(args.lambda_c) * theta0
-    ctilde = {k: float(PROFILES[k].w(np, u_c)) * tau for k in kinds}
+    # a pole or an overflow, in the grids too, is caught by the finite
+    # check in _format_rows
+    with np.errstate(all="ignore"):
+        lam = np.linspace(args.lambda_start, args.lambda_stop, args.lambda_count)
+        tau = np.linspace(args.tau_start, args.tau_stop, args.tau_count)
+        rtilde = {k: PROFILES[k].w(np, lam * theta0) ** 2 for k in kinds}
+        stack = np.vstack([rtilde[k] for k in kinds])
+        r_min = stack.min(axis=0)
+        eta = {k: _eta_sym_raw(rtilde[k], r_min) for k in kinds}
+        # panel (c): rescaled complexity vs tau at fixed lambda
+        u_c = np.float64(args.lambda_c) * theta0
+        ctilde = {k: float(PROFILES[k].w(np, u_c)) * tau for k in kinds}
     cfg = _cfg(args)
     text = _csv(
         "figure1", cfg,
@@ -234,13 +266,9 @@ def cmd_figure1(args) -> int:
             + ["tau"]
             + [f"ctilde_{k.value}" for k in kinds]
         ),
-        lines=_fmt_rows(
-            [lam[i]]
-            + [rtilde[k][i] for k in kinds]
-            + [eta[k][i] for k in kinds]
-            + [tau[i]]
-            + [ctilde[k][i] for k in kinds]
-            for i in range(len(lam))
+        blocks=_format_rows(
+            lam, *(rtilde[k] for k in kinds), *(eta[k] for k in kinds),
+            tau, *(ctilde[k] for k in kinds),
         ),
     )
     _emit(text, args.output)
@@ -248,15 +276,17 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_figure2(args) -> int:
-    lam = np.linspace(args.lambda_start, args.lambda_stop, args.lambda_count)
-    u = lam * args.theta0
-    # rates at shared gamma tied to lambda through the resonance constraint
-    prefactor = (math.pi * lam * args.thetadot0) ** 2
-    re_exp = prefactor * PROFILES[SchemeKind.EXPONENTIAL].w(np, u) ** 2
-    re_pow = prefactor * PROFILES[SchemeKind.POWER_LAW].w(np, u) ** 2
-    exp_cooler = (re_exp <= re_pow).astype(float)
-    ratio_igc = np.exp(-u) * (1.0 + u) ** 2
-    ratio_rate = ratio_igc**2
+    # an overflow, in the grid too, is caught by the finite check in _format_rows
+    with np.errstate(all="ignore"):
+        lam = np.linspace(args.lambda_start, args.lambda_stop, args.lambda_count)
+        u = lam * args.theta0
+        # rates at shared gamma tied to lambda through the resonance constraint
+        prefactor = (math.pi * lam * args.thetadot0) ** 2
+        re_exp = prefactor * PROFILES[SchemeKind.EXPONENTIAL].w(np, u) ** 2
+        re_pow = prefactor * PROFILES[SchemeKind.POWER_LAW].w(np, u) ** 2
+        exp_cooler = (re_exp <= re_pow).astype(float)
+        ratio_igc = np.exp(-u) * (1.0 + u) ** 2
+        ratio_rate = ratio_igc**2
     cfg = _cfg(args)
     text = _csv(
         "figure2", cfg,
@@ -269,22 +299,26 @@ def cmd_figure2(args) -> int:
         ],
         header=["lambda", "re_exponential", "re_powerlaw", "exp_cooler",
                 "ratio_igc", "ratio_rate"],
-        lines=_fmt_rows(zip(lam, re_exp, re_pow, exp_cooler, ratio_igc, ratio_rate)),
+        blocks=_format_rows(lam, re_exp, re_pow, exp_cooler, ratio_igc, ratio_rate),
     )
-    _emit(text, args.output)
 
     # panel (b): region grid over (theta0, lambda)
     u_star = efficiency.region_boundary_scale()
     n = args.grid_count
     theta0_grid = np.linspace(args.grid_theta0_max / n, args.grid_theta0_max, n)
     lam_grid = np.linspace(args.grid_lambda_max / n, args.grid_lambda_max, n)
-    # n^2 rows from 2n distinct coordinates: format each coordinate once
-    lam_cells = [(lam_v, _fmt(lam_v)) for lam_v in lam_grid.tolist()]
-    lines = (
-        f"{th_txt},{lam_txt},{'1' if lam_v * th_v >= u_star else '0'}"
-        for th_v, th_txt in ((t, _fmt(t)) for t in theta0_grid.tolist())
-        for lam_v, lam_txt in lam_cells
-    )
+    # IEEE products are correctly rounded and commutative, so each flag is
+    # the scalar test lam * theta0 >= u_star; a product past the float range
+    # is inf, as in Python, and inf >= u_star is the right answer
+    with np.errstate(over="ignore"):
+        flags = np.multiply.outer(theta0_grid, lam_grid) >= u_star
+    # n^2 rows from 2n distinct coordinates: each lambda cell's text (flag
+    # included) is made once, and each theta0 block is one join
+    lam_cells = [(f"{_fmt(v)},0", f"{_fmt(v)},1") for v in lam_grid.tolist()]
+    blocks = []
+    for th_v, row in zip(theta0_grid.tolist(), flags):
+        prefix = f"{_fmt(th_v)},"
+        blocks.append(prefix + f"\n{prefix}".join(map(tuple.__getitem__, lam_cells, row.tolist())))
     region_text = _csv(
         "figure2-region", cfg,
         comments=[
@@ -292,8 +326,9 @@ def cmd_figure2(args) -> int:
             f"u_star = {_fmt(u_star)}",
         ],
         header=["theta0", "lambda", "exp_cooler"],
-        lines=lines,
+        blocks=blocks,
     )
+    _emit(text, args.output)
     if args.output:
         stem, ext = os.path.splitext(args.output)
         _atomic_write(f"{stem}_region{ext or '.csv'}", region_text)

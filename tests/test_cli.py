@@ -1,13 +1,16 @@
 """CLI contract: exit codes, output format, determinism."""
+import itertools
 import json
 import os
 import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from entrogeo import __version__
+from entrogeo.efficiency import region_boundary_scale
 
 ENTROGEO = [sys.executable, "-m", "entrogeo.cli"]
 
@@ -114,6 +117,26 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr
 
     @pytest.mark.parametrize("argv", [
+        ["figure2", "--thetadot0", "1e300"],
+        ["figure1", "--tau-start=-1.7e308", "--tau-stop", "1.7e308"],
+        ["figure1", "--lambda-start=-1", "--lambda-count", "5", "--tau-count", "5"],
+        ["metrics", "--scheme", "constant", "--thetadot0", "1e150", "--tau", "1e200"],
+    ], ids=["figure2-rate-overflow", "figure1-tau-grid-overflow", "figure1-power-law-pole",
+            "metrics-json-infinity"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_nonfinite_result_is_usage_error(self, argv, to_file, tmp_path):
+        # finite argv whose results are not: these used to exit 0 writing
+        # nan/inf CSV cells (with a numpy RuntimeWarning) or JSON Infinity
+        if to_file:
+            argv = argv + ["--output", str(tmp_path / "out")]
+        res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stderr.startswith("error: a derived quantity left the float range"), res.stderr
+        assert "Warning" not in res.stderr
+        assert res.stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
         ["geodesic", "--scheme", "oscillating", "--lambda", "0.5", "--theta0", "13"],
         ["metrics", "--scheme", "oscillating", "--lambda", "0.5", "--theta0", "13"],
     ], ids=["geodesic", "metrics"])
@@ -207,6 +230,29 @@ class TestOutputs:
         ]
         for e in doc["entries"]:
             assert e["igc_slope"] > 0
+
+    # every sign combination of the grid maxima, 0 included, and products
+    # past the float range (inf, so the flag is 1)
+    @pytest.mark.parametrize("theta0_max,lambda_max", [
+        *itertools.product(["-4", "0", "4"], ["-6", "0", "6"]),
+        ("1e200", "1e200"), ("-1e200", "1e200"),
+    ])
+    def test_region_flags_match_predicate(self, theta0_max, lambda_max):
+        n = 7
+        argv = ["figure2", "--lambda-count", "3", "--grid-count", str(n),
+                f"--grid-theta0-max={theta0_max}", f"--grid-lambda-max={lambda_max}"]
+        res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        lines = res.stdout.splitlines()
+        rows = [l.split(",") for l in lines[lines.index("theta0,lambda,exp_cooler") + 1:]]
+        theta0s = np.linspace(float(theta0_max) / n, float(theta0_max), n).tolist()
+        lams = np.linspace(float(lambda_max) / n, float(lambda_max), n).tolist()
+        assert [(float(th), float(lam)) for th, lam, _ in rows] == [
+            (th, lam) for th in theta0s for lam in lams]
+        u_star = region_boundary_scale()
+        for th, lam, flag in rows:
+            assert flag == ("1" if float(lam) * float(th) >= u_star else "0"), (th, lam)
 
     def test_crossover_values(self):
         doc = json.loads(run("crossover").stdout)
