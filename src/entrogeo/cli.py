@@ -33,8 +33,10 @@ from .geometry import (
     fisher_closed_form,
     geodesic_closed_form,
     geodesic_numeric,
+    metric_factor,
+    shape_factor,
 )
-from .schemes import PROFILES, DrivingScheme, SchemeKind, standard_schemes
+from .schemes import DrivingScheme, SchemeKind, standard_schemes
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -157,13 +159,6 @@ def _build_scheme(args) -> DrivingScheme:
     return DrivingScheme.resonant(kind, lam=args.lam, hbar=args.hbar)
 
 
-def _eta_sym_raw(r: np.ndarray, r_min: np.ndarray) -> np.ndarray:
-    total = r + r_min
-    with np.errstate(invalid="ignore", divide="ignore"):
-        eta = 1.0 - np.abs(r - r_min) / total
-    return np.where(total == 0.0, 1.0, eta)
-
-
 # --- subcommands ---------------------------------------------------------
 
 def cmd_metrics(args) -> int:
@@ -173,13 +168,8 @@ def cmd_metrics(args) -> int:
     rep = pathmetrics.report(
         scheme, args.theta0, args.thetadot0, args.tau, xi0=args.xi0, tau0=args.tau0
     )
-    g_scale = 2.0 * scheme.gamma / scheme.hbar
-    w0 = scheme.shape(args.theta0)
-    reference = {
-        "v_E": g_scale * w0 * args.thetadot0,
-        "r_E": (g_scale * w0 * args.thetadot0) ** 2,
-        "igc_rate": pathmetrics.igc_asymptotic_slope(scheme, args.theta0, args.thetadot0),
-    }
+    v_E, r_E = pathmetrics.launch_speed_and_rate(scheme, args.theta0, args.thetadot0)
+    slope = pathmetrics.igc_asymptotic_slope(scheme, args.theta0, args.thetadot0)
     cfg = _cfg(args)
     payload = {
         "scheme": scheme.kind.value,
@@ -195,7 +185,7 @@ def cmd_metrics(args) -> int:
             "igc_rate": rep.igc_rate,
             "tau": rep.tau,
         },
-        "closed_form": reference,
+        "closed_form": {"v_E": v_E, "r_E": r_E, "igc_rate": slope},
     }
     _emit(_json_text("metrics", cfg, payload), args.output)
     return EXIT_OK
@@ -241,13 +231,12 @@ def cmd_figure1(args) -> int:
     with np.errstate(all="ignore"):
         lam = np.linspace(args.lambda_start, args.lambda_stop, args.lambda_count)
         tau = np.linspace(args.tau_start, args.tau_stop, args.tau_count)
-        rtilde = {k: PROFILES[k].w(np, lam * theta0) ** 2 for k in kinds}
-        stack = np.vstack([rtilde[k] for k in kinds])
-        r_min = stack.min(axis=0)
-        eta = {k: _eta_sym_raw(rtilde[k], r_min) for k in kinds}
+        rtilde = {k: metric_factor(k, lam * theta0) for k in kinds}
+        r_min = np.vstack([rtilde[k] for k in kinds]).min(axis=0)
+        eta = {k: efficiency.eta_sym(rtilde[k], r_min) for k in kinds}
         # panel (c): rescaled complexity vs tau at fixed lambda
         u_c = np.float64(args.lambda_c) * theta0
-        ctilde = {k: float(PROFILES[k].w(np, u_c)) * tau for k in kinds}
+        ctilde = {k: float(shape_factor(k, u_c)) * tau for k in kinds}
     cfg = _cfg(args)
     text = _csv(
         "figure1", cfg,
@@ -280,12 +269,12 @@ def cmd_figure2(args) -> int:
     with np.errstate(all="ignore"):
         lam = np.linspace(args.lambda_start, args.lambda_stop, args.lambda_count)
         u = lam * args.theta0
-        # rates at shared gamma tied to lambda through the resonance constraint
-        prefactor = (math.pi * lam * args.thetadot0) ** 2
-        re_exp = prefactor * PROFILES[SchemeKind.EXPONENTIAL].w(np, u) ** 2
-        re_pow = prefactor * PROFILES[SchemeKind.POWER_LAW].w(np, u) ** 2
+        exp_kind, pow_kind = SchemeKind.EXPONENTIAL, SchemeKind.POWER_LAW
+        re_exp = efficiency.resonant_rate(exp_kind, lam, args.theta0, args.thetadot0)
+        re_pow = efficiency.resonant_rate(pow_kind, lam, args.theta0, args.thetadot0)
         exp_cooler = (re_exp <= re_pow).astype(float)
-        ratio_igc = np.exp(-u) * (1.0 + u) ** 2
+        # at shared gamma, C and sqrt(r) scale with the shape w(u)
+        ratio_igc = shape_factor(exp_kind, u) / shape_factor(pow_kind, u)
         ratio_rate = ratio_igc**2
     cfg = _cfg(args)
     text = _csv(
@@ -346,12 +335,8 @@ def cmd_table1(args) -> int:
     ranking = efficiency.rank_schemes(schemes, args.theta0, args.thetadot0)
     expected = tuple(k.value for k in _TABLE_ORDER)
     conforms = ranking.order == expected
-    # dC/dtau on a geodesic is v_E / 2; evaluate from the pointwise metric
-    # so the oscillating entry extends past its turning point, as the
-    # rates do.
     slopes = {
-        s.kind.value: 0.5 * args.thetadot0
-        * math.sqrt(fisher_closed_form(s).g(args.theta0))
+        s.kind.value: efficiency.igc_slope_of_scheme(s, args.theta0, args.thetadot0)
         for s in schemes
     }
     cfg = _cfg(args)
@@ -390,7 +375,7 @@ def cmd_crossover(args) -> int:
         "lambda_star": lam_star,
         "theta0": args.theta0,
         "u_star": u_star,
-        "boundary_residual": (1.0 + u_star) ** 2 - math.exp(u_star),
+        "boundary_residual": efficiency.region_boundary_residual(u_star),
     }
     _emit(_json_text("crossover", cfg, payload), args.output)
     return EXIT_OK
@@ -415,6 +400,43 @@ def cmd_verify(args) -> int:
 
 
 # --- argument parsing ----------------------------------------------------
+
+def _is_float(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a negative float word such as -1e-3 as the
+    value of a float option.  argparse's negative-number pattern has no
+    exponent, so it took ``--tau-start -1e-3`` for two options; it reads a
+    word with a space in it as a value, and float() ignores the space.
+    Subparsers are made with this class too and parse their own words."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.float_nargs: dict[str, int] = {}  # option string -> values it takes
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.type is float:
+            self.float_nargs.update(dict.fromkeys(action.option_strings, action.nargs or 1))
+        return action
+
+    def parse_known_args(self, args=None, namespace=None):
+        words, slots = list(sys.argv[1:] if args is None else args), 0
+        for i, word in enumerate(words):
+            if slots:
+                slots -= 1
+                if word.startswith("-") and _is_float(word):
+                    words[i] = " " + word
+            else:
+                slots = self.float_nargs.get(word, 0)
+        return super().parse_known_args(words, namespace)
+
 
 def _add_scheme_args(p, require_scheme=True):
     p.add_argument("--scheme", required=require_scheme,
@@ -446,7 +468,7 @@ def _check_range(args, name):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entrogeo",
         description="Fisher-metric geodesics, entropy production, and "
                     "efficiency ranking for driven two-level systems",

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, NoSignChange
-from .geometry import fisher_closed_form
-from .schemes import PROFILES, DrivingScheme, SchemeKind
+from .geometry import fisher_closed_form, metric_factor, metric_scale
+from .schemes import PROFILES, DrivingScheme, SchemeKind, resonant_gamma
 
 _BRENT_XTOL = 1e-10
 
@@ -41,11 +43,25 @@ def eta2(r: float, r_min: float) -> float:
     return r_min / r
 
 
-def eta_sym(r_l: float, r_m: float) -> float:
-    """Symmetric efficiency 1 - |r_l - r_m| / (r_l + r_m)."""
-    if r_l <= 0 or r_m <= 0:
-        raise DomainError(f"rates must be positive, got ({r_l}, {r_m})")
-    return 1.0 - abs(r_l - r_m) / (r_l + r_m)
+def eta_sym(r_l, r_m):
+    """Symmetric efficiency 1 - |r_l - r_m| / (r_l + r_m) of rates >= 0.
+
+    Takes two floats, or arrays that broadcast together and give an array;
+    both give the same bits for the same rates.  Two zero rates are equally
+    efficient: 0/0 gives 1.  A negative rate raises DomainError; NaN passes
+    through.
+    """
+    if isinstance(r_l, float) and isinstance(r_m, float):
+        if r_l < 0 or r_m < 0:
+            raise DomainError(f"rates must be nonnegative, got ({r_l}, {r_m})")
+        total = r_l + r_m
+        return 1.0 - abs(r_l - r_m) / total if total else 1.0
+    r_l, r_m = np.asarray(r_l, dtype=float), np.asarray(r_m, dtype=float)
+    if (r_l < 0).any() or (r_m < 0).any():
+        raise DomainError("rates must be nonnegative")
+    with np.errstate(all="ignore"):  # overflow to inf and inf - inf, as with floats
+        total = r_l + r_m
+        return np.where(total == 0.0, 1.0, 1.0 - np.abs(r_l - r_m) / total)
 
 
 @dataclass(frozen=True)
@@ -66,8 +82,6 @@ class EfficiencyRanking:
 
     entries: tuple[RankedEntry, ...]
     order: tuple[str, ...]
-    lambda_used: Optional[float]
-    theta0_used: float
     has_ties: bool
 
 
@@ -85,6 +99,20 @@ def entropy_rate_of_scheme(
         raise DomainError(f"theta0={theta0} must be nonnegative")
     metric = fisher_closed_form(scheme)
     return metric.g(theta0) * thetadot0 * thetadot0
+
+
+def resonant_rate(kind, lam, theta0, thetadot0):
+    """``entropy_rate_of_scheme`` of ``DrivingScheme.resonant(kind, lam)``
+    (hbar = 1) at each lam of an array: g0(lam) * m(lam * theta0) *
+    thetadot0^2, with numpy's elementwise kernels in place of ``math``."""
+    g0 = metric_scale(resonant_gamma(lam))
+    return g0 * metric_factor(kind, lam * theta0) * thetadot0 * thetadot0
+
+
+def igc_slope_of_scheme(scheme: DrivingScheme, theta0: float, thetadot0: float) -> float:
+    """dC/dtau = v_E / 2 = sqrt(g(theta0)) * thetadot0 / 2 on the scheme's
+    geodesic, from the pointwise metric like ``entropy_rate_of_scheme``."""
+    return 0.5 * thetadot0 * math.sqrt(fisher_closed_form(scheme).g(theta0))
 
 
 def rank_schemes(
@@ -111,13 +139,8 @@ def rank_schemes(
     # Descending eta_sym == ascending r_E; stable sort keeps input order on ties.
     ordered = sorted(entries, key=lambda e: -e.eta_sym)
     has_ties = len({e.eta_sym for e in entries}) < len(entries)
-    lam = next((s.lam for s in schemes if s.lam is not None), None)
     return EfficiencyRanking(
-        entries=entries,
-        order=tuple(e.label for e in ordered),
-        lambda_used=lam,
-        theta0_used=theta0,
-        has_ties=has_ties,
+        entries=entries, order=tuple(e.label for e in ordered), has_ties=has_ties
     )
 
 
@@ -159,6 +182,11 @@ def region_boundary_scale() -> float:
     Closed form u* = -2 W_{-1}(-exp(-1/2)/2) - 1, correctly rounded.
     """
     return 2.5128624172523395
+
+
+def region_boundary_residual(u: float) -> float:
+    """(1 + u)^2 - exp(u), zero at u = region_boundary_scale()."""
+    return (1.0 + u) ** 2 - math.exp(u)
 
 
 def check_ranking_preservation(rates: Sequence[float]) -> bool:

@@ -30,6 +30,7 @@ from .errors import (
 from .schemes import PROFILES, DrivingScheme, ProbabilityPath, SchemeKind
 
 _METRIC_FLOOR = 1e-12
+_ODE_TOL = 1e-10  # rtol and atol of the geodesic integration
 _P_FLOOR = 1e-12
 _VALIDITY_MARGIN = 0.999
 
@@ -52,13 +53,25 @@ class MetricField:
     source: MetricSource
     kind: Optional[SchemeKind] = None
 
-    def __call__(self, theta: float) -> float:
-        return self.g(theta)
+
+def metric_scale(gamma, hbar=1.0):
+    """g0 = (2*gamma/hbar)^2 in g = g0 * m(lam * theta); floats or arrays."""
+    return (2.0 * gamma / hbar) ** 2
+
+
+def metric_factor(kind, u):
+    """m(u) = g/g0 at u = lam * theta, elementwise with numpy."""
+    return PROFILES[SchemeKind(kind)].m(np, u)
+
+
+def shape_factor(kind, u):
+    """Intensity shape w(u) = intensity/gamma, elementwise with numpy."""
+    return PROFILES[SchemeKind(kind)].w(np, u)
 
 
 def fisher_closed_form(scheme: DrivingScheme) -> MetricField:
     """Closed-form Fisher information g = (2*gamma/hbar)^2 * shape^2."""
-    g0 = (2.0 * scheme.gamma / scheme.hbar) ** 2
+    g0 = metric_scale(scheme.gamma, scheme.hbar)
     lam = scheme.u_scale
     profile = PROFILES[scheme.kind]
     return MetricField(
@@ -144,20 +157,12 @@ def geodesic_closed_form(
 
 @dataclass(frozen=True)
 class SampledGeodesic:
-    """Dense numeric geodesic solution over [xi0, xi_end]."""
+    """Numeric geodesic solution at evenly spaced samples of [xi0, xi_end]."""
 
     xi: np.ndarray
     theta: np.ndarray
     thetadot: np.ndarray
     formulation: GeodesicFormulation
-    _sol: Callable[[float], np.ndarray]
-    _to_state: Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-    def theta_at(self, xi):
-        return float(self._sol(xi)[0])
-
-    def thetadot_at(self, xi):
-        return float(self._to_state(self._sol(xi))[1])
 
 
 def geodesic_numeric(
@@ -169,13 +174,13 @@ def geodesic_numeric(
     formulation: GeodesicFormulation = GeodesicFormulation.CHRISTOFFEL,
     validity_end: float = math.inf,
     n_samples: int = 201,
-    rtol: float = 1e-10,
-    atol: float = 1e-10,
 ) -> SampledGeodesic:
     """Integrate the geodesic ODE in either formulation.
 
     Refuses to step past _VALIDITY_MARGIN * validity_end when a finite
-    singularity location is supplied; the closed form knows it.
+    singularity location is supplied; the closed form knows it.  The metric
+    must stay above _METRIC_FLOOR * g(theta0) along the path: the floor is
+    relative, since g scales with (gamma/hbar)^2.
     """
     formulation = GeodesicFormulation(formulation)
     if theta0 <= 0 or thetadot0 <= 0:
@@ -183,6 +188,8 @@ def geodesic_numeric(
     if not (math.isfinite(xi0) and math.isfinite(xi_end)):
         # solve_ivp does not return on a non-finite span
         raise DomainError(f"integration span [{xi0}, {xi_end}] must be finite")
+    if not xi_end > xi0:
+        raise DomainError(f"integration span [{xi0}, {xi_end}] needs xi_end > xi0")
     if n_samples < 1:
         raise DomainError(f"n_samples={n_samples} must be at least 1")
     if math.isfinite(validity_end):
@@ -192,10 +199,14 @@ def geodesic_numeric(
                 f"xi_end={xi_end} too close to the singularity at {validity_end}"
             )
 
+    g_start = metric.g(theta0)
+    # an underflowed g(theta0) = 0 gives floor 0, which g = 0 does not pass
+    floor = _METRIC_FLOOR * g_start
+
     def guard(theta: float) -> float:
         g = metric.g(theta)
-        if g < _METRIC_FLOOR:
-            raise MetricDegenerate(f"g({theta}) = {g} below positivity floor")
+        if g <= floor:
+            raise MetricDegenerate(f"g({theta}) = {g} at or below the positivity floor {floor}")
         return g
 
     if formulation is GeodesicFormulation.CHRISTOFFEL:
@@ -205,9 +216,6 @@ def geodesic_numeric(
             return [thd, -0.5 * metric.dg_dtheta(th) / g * thd * thd]
 
         y0 = [theta0, thetadot0]
-
-        def to_state(y, _=None):
-            return y[0], y[1]
     else:
         # State (theta, m) with m = g * thetadot.
         def rhs(xi, y):
@@ -216,22 +224,14 @@ def geodesic_numeric(
             thd = m / g
             return [thd, 0.5 * metric.dg_dtheta(th) * thd * thd]
 
-        y0 = [theta0, metric.g(theta0) * thetadot0]
-
-        def to_state(y, _=None):
-            return y[0], y[1] / metric.g(y[0])
+        y0 = [theta0, g_start * thetadot0]
 
     from scipy.integrate import solve_ivp
 
     xi_grid = np.linspace(xi0, xi_end, n_samples)
-    try:
-        sol = solve_ivp(
-            rhs, (xi0, xi_end), y0,
-            method="RK45", rtol=rtol, atol=atol,
-            dense_output=True, t_eval=xi_grid,
-        )
-    except MetricDegenerate:
-        raise
+    sol = solve_ivp(
+        rhs, (xi0, xi_end), y0, method="RK45", rtol=_ODE_TOL, atol=_ODE_TOL, t_eval=xi_grid,
+    )
     if not sol.success:
         raise StepFailure(f"geodesic integration failed: {sol.message}")
     theta = sol.y[0]
@@ -239,10 +239,7 @@ def geodesic_numeric(
         thetadot = sol.y[1]
     else:
         thetadot = sol.y[1] / np.array([metric.g(t) for t in theta])
-    return SampledGeodesic(
-        xi=sol.t, theta=theta, thetadot=thetadot,
-        formulation=formulation, _sol=sol.sol, _to_state=to_state,
-    )
+    return SampledGeodesic(xi=sol.t, theta=theta, thetadot=thetadot, formulation=formulation)
 
 
 def geodesic_residual(metric: MetricField, geo: Geodesic, xi: float, h: Optional[float] = None) -> float:

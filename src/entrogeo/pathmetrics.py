@@ -36,13 +36,7 @@ class ParamTrajectory:
     xi_range: tuple[float, float]
 
     @classmethod
-    def from_geodesic(
-        cls, geo: Geodesic, xi_range: Optional[tuple[float, float]] = None
-    ) -> "ParamTrajectory":
-        if xi_range is None:
-            end = geo.validity_end
-            hi = geo.xi0 + 1.0 if not math.isfinite(end) else geo.xi0 + 0.5 * (end - geo.xi0)
-            xi_range = (geo.xi0, hi)
+    def from_geodesic(cls, geo: Geodesic, xi_range: tuple[float, float]) -> "ParamTrajectory":
         return cls(theta_of_xi=geo.theta, thetadot_of_xi=geo.thetadot, xi_range=xi_range)
 
     def _check(self, xi: float) -> None:
@@ -165,14 +159,14 @@ def igc(
     return avg, rate
 
 
-def igc_rate_fd(
-    metric: MetricField, geodesic: Geodesic, tau: float, tau0: float = 0.0
-) -> float:
-    """Finite-difference cross-check of the IGC rate."""
-    dt = 1e-4 * tau
-    hi, _ = igc(metric, geodesic, tau + dt, tau0)
-    lo, _ = igc(metric, geodesic, tau - dt, tau0)
-    return (hi - lo) / (2.0 * dt)
+def launch_speed_and_rate(
+    scheme: DrivingScheme, theta0: float, thetadot0: float
+) -> tuple[float, float]:
+    """Closed-form entropic speed v_E = (2 gamma/hbar) * shape(theta0) *
+    thetadot0 and rate r_E = v_E^2 at the launch point, both constant
+    along the geodesic."""
+    v = 2.0 * scheme.gamma / scheme.hbar * scheme.shape(theta0) * thetadot0
+    return v, v**2
 
 
 def igc_asymptotic_slope(

@@ -131,6 +131,12 @@ PROFILES: dict[SchemeKind, Profile] = {
 }
 
 
+def resonant_gamma(lam, hbar=1.0):
+    """Intensity scale gamma = (pi/2) * hbar * lam at which the success
+    probability reaches one; floats or arrays."""
+    return 0.5 * math.pi * hbar * lam
+
+
 @dataclass(frozen=True)
 class DrivingScheme:
     """A transverse-field profile with intensity scale ``gamma``.
@@ -166,7 +172,7 @@ class DrivingScheme:
         if constraint:
             if kind is SchemeKind.CONSTANT:
                 raise ValueError("resonance constraint needs a lam-shaped profile")
-            gamma_res = 0.5 * math.pi * self.hbar * self.lam
+            gamma_res = resonant_gamma(self.lam, self.hbar)
             if self.gamma is None:
                 object.__setattr__(self, "gamma", gamma_res)
             elif abs(self.gamma - gamma_res) > 1e-12 * self.gamma:
@@ -223,7 +229,7 @@ def integrated_phase(scheme: DrivingScheme, theta: float) -> float:
 
 def standard_schemes(lam: float = 0.5, hbar: float = 1.0) -> list[DrivingScheme]:
     """The four schemes at shared gamma = (pi/2) * hbar * lam."""
-    gamma = 0.5 * math.pi * hbar * lam
+    gamma = resonant_gamma(lam, hbar)
     return [
         DrivingScheme(kind=kind, gamma=gamma, hbar=hbar)
         if kind is SchemeKind.CONSTANT
@@ -240,10 +246,6 @@ class ProbabilityPath:
 
     def phase(self, theta: float) -> float:
         return integrated_phase(self.scheme, theta)
-
-    @property
-    def theta_max(self) -> float:
-        return self.scheme.theta_max
 
     def p_w(self, theta: float) -> float:
         return math.sin(self.phase(theta)) ** 2

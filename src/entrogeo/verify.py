@@ -335,7 +335,7 @@ def check_efficiency_range():
 def check_efficiency_monotonicity():
     r_min = 0.7
     v = np.linspace(math.sqrt(r_min), 50.0, 10_000)
-    etas = np.array([efficiency.eta_sym(r_min, vi * vi) for vi in v])
+    etas = efficiency.eta_sym(r_min, v * v)
     assert np.all(np.diff(etas) <= 1e-15), "eta_sym not non-increasing in v"
 
 

@@ -1,16 +1,19 @@
 """CLI contract: exit codes, output format, determinism."""
+import ast
 import itertools
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from entrogeo import __version__
-from entrogeo.efficiency import region_boundary_scale
+from entrogeo import DrivingScheme, SchemeKind, __version__, cli, eta_sym
+from entrogeo.efficiency import entropy_rate_of_scheme, region_boundary_scale
 
 ENTROGEO = [sys.executable, "-m", "entrogeo.cli"]
 
@@ -162,6 +165,44 @@ class TestExitCodes:
         assert res.stderr.startswith("error:")
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("kind", ["constant", "oscillating", "power_law", "exponential"])
+    @pytest.mark.parametrize("span", [["--xi-end", "0"], ["--xi0", "0.5", "--xi-end", "0.5"]],
+                             ids=["xi-end-0", "xi-end-at-xi0"])
+    def test_empty_integration_span_is_usage_error(self, kind, span):
+        # solve_ivp returns no samples for a zero-length span; this used to
+        # end in an IndexError traceback with exit 1
+        lam = [] if kind == "constant" else ["--lambda", "0.5"]
+        argv = ["geodesic", "--scheme", kind, *lam, *span]
+        res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stderr.startswith("error:"), res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+    def test_small_lambda_geodesic_is_integrated(self):
+        # g = (pi lambda)^2 m(u) is ~1e-13 here, but the metric is as regular
+        # as at lambda = 0.5; an absolute floor on g used to refuse it (exit 3)
+        argv = ["geodesic", "--scheme", "exponential", "--lambda", "1e-7", "--samples", "21"]
+        res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        rows = [l for l in res.stdout.splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 21
+        for row in rows:
+            _, closed, _, christoffel, divergence = map(float, row.split(","))
+            assert abs(christoffel - closed) <= 1e-6
+            assert abs(divergence - closed) <= 1e-6
+
+    def test_underflowed_metric_is_numerical_failure(self):
+        # g0 = (pi * 1e-300)^2 underflows to 0: no floor relative to g(theta0)
+        # can accept it, and the run ends in a typed failure
+        argv = ["geodesic", "--scheme", "exponential", "--lambda", "1e-300"]
+        res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 3, res.stdout + res.stderr
+        assert res.stderr.startswith("numerical failure:"), res.stderr
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
     def test_verify_ok(self):
         assert run("verify", "--filter", "crossover").returncode == 0
 
@@ -172,6 +213,58 @@ class TestExitCodes:
 
     def test_verify_empty_filter_is_usage_error(self):
         assert run("verify", "--filter", "no-such-check").returncode == 2
+
+
+# Every float option of every subcommand (--bracket has its own test), with
+# a base argv that runs fast.
+_FLOAT_OPTIONS = {
+    ("metrics", "--scheme", "exponential", "--lambda", "0.5"): [
+        "--gamma", "--lambda", "--hbar", "--theta0", "--thetadot0", "--xi0", "--tau", "--tau0"],
+    ("geodesic", "--scheme", "exponential", "--lambda", "0.5", "--samples", "3"): [
+        "--gamma", "--lambda", "--hbar", "--theta0", "--thetadot0", "--xi0", "--xi-end"],
+    ("figure1", "--lambda-count", "3", "--tau-count", "3"): [
+        "--theta0", "--lambda-start", "--lambda-stop", "--tau-start", "--tau-stop", "--lambda-c"],
+    ("figure2", "--lambda-count", "3", "--grid-count", "3"): [
+        "--theta0", "--thetadot0", "--lambda-start", "--lambda-stop",
+        "--grid-theta0-max", "--grid-lambda-max"],
+    ("table1",): ["--lambda", "--theta0", "--thetadot0", "--hbar"],
+    ("crossover",): ["--theta0"],
+}
+
+
+def _main_outcome(argv, capsys):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse errors
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+class TestNegativeExponentFloats:
+    """argparse's negative-number pattern has no exponent, so it read a
+    separate word such as -1e-3 as an option: `figure1 --tau-start -1e-3`
+    exited 2 with "expected one argument"."""
+
+    @pytest.mark.parametrize("base,option", [
+        (base, option) for base, options in _FLOAT_OPTIONS.items() for option in options
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_separate_word_equals_joined_form(self, base, option, capsys):
+        joined = _main_outcome([*base, f"{option}=-1e-3"], capsys)
+        separate = _main_outcome([*base, option, "-1e-3"], capsys)
+        assert separate == joined
+        assert "expected one argument" not in joined[2]
+
+    # --bracket takes two words, so it has no joined form; its plain
+    # decimal form -0.001 is read as a value already
+    @pytest.mark.parametrize("pair", [("-1e-3", "5"), ("1", "-1e-3")],
+                             ids=["first", "second"])
+    def test_bracket_values(self, pair, capsys):
+        decimal = _main_outcome(
+            ["crossover", "--bracket", *(v.replace("-1e-3", "-0.001") for v in pair)], capsys)
+        exponent = _main_outcome(["crossover", "--bracket", *pair], capsys)
+        assert exponent == decimal
+        assert "expected 2 arguments" not in decimal[2]
 
 
 class TestOutputs:
@@ -258,6 +351,73 @@ class TestOutputs:
         doc = json.loads(run("crossover").stdout)
         assert abs(doc["lambda_star"] - 2.51) <= 0.01
         assert abs(doc["boundary_residual"]) <= 1e-8
+
+
+def _csv_table(text, header_start):
+    """Header and float rows of the CSV document whose header starts with
+    ``header_start``; .17g cells read back to the exact doubles."""
+    lines = text.splitlines()
+    i = next(j for j, line in enumerate(lines) if line.startswith(header_start))
+    rows = []
+    for line in lines[i + 1:]:
+        if line.startswith("#"):
+            break
+        rows.append([float(x) for x in line.split(",")])
+    return lines[i].split(","), rows
+
+
+class TestColumnsFromLibrary:
+    """Each printed rate and efficiency is the library's value."""
+
+    # exp(-2 u) underflows to 0 past u ~ 372, where eta of 0 against 0 is 1
+    @pytest.mark.parametrize("argv", [
+        ["figure1"],
+        ["figure1", "--lambda-stop", "400", "--lambda-count", "401", "--tau-count", "401"],
+    ], ids=["defaults", "underflow"])
+    def test_figure1_eta_is_eta_sym_of_rtilde(self, argv, capsys):
+        assert cli.main(argv) == 0
+        header, rows = _csv_table(capsys.readouterr().out, "lambda,")
+        kinds = [h[len("rtilde_"):] for h in header if h.startswith("rtilde_")]
+        for row in rows:
+            cell = dict(zip(header, row))
+            r_min = min(cell[f"rtilde_{k}"] for k in kinds)
+            for k in kinds:
+                assert cell[f"eta_{k}"] == eta_sym(cell[f"rtilde_{k}"], r_min), (k, row)
+
+    # math's and numpy's kernels round some inputs differently; the worst
+    # distance measured over these 14,424 cells is 3 ulp
+    MAX_ULPS = 4
+
+    @pytest.mark.parametrize("theta0", ["1", "0.8", "1.7"])
+    @pytest.mark.parametrize("thetadot0", ["0.1", "0.37", "2.5", "7"])
+    def test_figure2_rates_are_entropy_rate_of_scheme(self, theta0, thetadot0, capsys):
+        argv = ["figure2", "--theta0", theta0, "--thetadot0", thetadot0,
+                "--lambda-start", "0.01", "--grid-count", "2"]
+        assert cli.main(argv) == 0
+        header, rows = _csv_table(capsys.readouterr().out, "lambda,re_exponential")
+        assert len(rows) == 601
+        for lam, re_exp, re_pow, *_ in rows:
+            for kind, got in ((SchemeKind.EXPONENTIAL, re_exp), (SchemeKind.POWER_LAW, re_pow)):
+                want = entropy_rate_of_scheme(
+                    DrivingScheme.resonant(kind, lam), float(theta0), float(thetadot0))
+                assert abs(got - want) <= self.MAX_ULPS * math.ulp(want), (kind, lam)
+
+    def test_cli_computes_no_formula(self):
+        # the emitters format what the library computes: no per-kind table
+        # and no elementary function of math or numpy in cli.py
+        banned = {"exp", "expm1", "log", "log1p", "sqrt", "sin", "cos", "pi"}
+        tree = ast.parse(Path(cli.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                assert node.id != "PROFILES", node.lineno
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                assert "PROFILES" not in names, node.lineno
+                if node.module in ("math", "numpy"):
+                    assert not names & banned, node.lineno
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in ("math", "np", "numpy"):
+                    assert node.attr not in banned, (node.lineno, node.attr)
 
 
 class TestDeterminismAndThreads:

@@ -2,6 +2,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -56,6 +57,39 @@ class TestMeasures:
             eta2(0.5, 1.0)
         with pytest.raises(DomainError):
             eta_sym(-1.0, 1.0)
+
+
+rate = st.one_of(st.just(0.0), st.floats(0.0, 1e308), st.just(math.nan))
+
+
+class TestEtaSymArrays:
+    @given(pairs=st.lists(st.tuples(rate, rate), min_size=1, max_size=20))
+    def test_array_equals_scalar_bitwise(self, pairs):
+        r_l = np.array([a for a, _ in pairs])
+        r_m = np.array([b for _, b in pairs])
+        got = eta_sym(r_l, r_m)
+        assert got.shape == r_l.shape
+        for (a, b), x in zip(pairs, got.tolist()):
+            want = eta_sym(a, b)
+            assert (math.isnan(want) and math.isnan(x)) or (
+                np.float64(x).tobytes() == np.float64(want).tobytes()), (a, b)
+
+    def test_two_zero_rates_are_equally_efficient(self):
+        assert eta_sym(0.0, 0.0) == 1.0
+        assert eta_sym(0.0, 5.0) == 0.0
+        assert eta_sym(np.zeros(3), np.zeros(3)).tolist() == [1.0, 1.0, 1.0]
+        # one array, one float, broadcast
+        assert eta_sym(np.array([0.0, 2.0]), 0.0).tolist() == [1.0, 0.0]
+
+    def test_negative_array_entry_raises(self):
+        with pytest.raises(DomainError):
+            eta_sym(np.array([1.0, -1e-300]), np.array([1.0, 1.0]))
+        with pytest.raises(DomainError):
+            eta_sym(np.array([1.0, 2.0]), np.array([3.0, -4.0]))
+
+    def test_nan_passes_through(self):
+        assert math.isnan(eta_sym(math.nan, 1.0))
+        assert np.isnan(eta_sym(np.array([math.nan, 1.0]), 1.0)).tolist() == [True, False]
 
 
 class TestRanking:

@@ -160,13 +160,15 @@ class TestNumericGeodesics:
         assert np.max(np.abs(num.thetadot - np.asarray(geo.thetadot(num.xi)))) <= 1e-6
 
     def test_dense_evaluation(self):
+        # xi = 0.37 is the middle sample of [0, 0.74]
         scheme = scheme_of(SchemeKind.EXPONENTIAL)
         metric = fisher_closed_form(scheme)
         geo = geodesic_closed_form(scheme, **IC)
-        num = geodesic_numeric(metric, 0.0, 1.0, 0.1, 1.0,
-                               validity_end=geo.validity_end)
-        assert num.theta_at(0.37) == pytest.approx(geo.theta(0.37), abs=1e-8)
-        assert num.thetadot_at(0.37) == pytest.approx(geo.thetadot(0.37), abs=1e-8)
+        num = geodesic_numeric(metric, 0.0, 1.0, 0.1, 0.74,
+                               validity_end=geo.validity_end, n_samples=3)
+        assert num.xi[1] == 0.37
+        assert num.theta[1] == pytest.approx(geo.theta(0.37), abs=1e-8)
+        assert num.thetadot[1] == pytest.approx(geo.thetadot(0.37), abs=1e-8)
 
     def test_refuses_integration_into_singularity(self):
         scheme = scheme_of(SchemeKind.EXPONENTIAL)

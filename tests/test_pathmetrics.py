@@ -23,9 +23,16 @@ from entrogeo import (
     thermodynamic_divergence,
     thermodynamic_length,
 )
-from entrogeo.pathmetrics import igc_rate_fd
 
 ALL_KINDS = list(SchemeKind)
+
+
+def igc_rate_fd(metric, geodesic, tau, tau0=0.0):
+    """Finite-difference cross-check of the IGC rate."""
+    dt = 1e-4 * tau
+    hi, _ = igc(metric, geodesic, tau + dt, tau0)
+    lo, _ = igc(metric, geodesic, tau - dt, tau0)
+    return (hi - lo) / (2.0 * dt)
 
 
 def scheme_of(kind, lam=0.5):
