@@ -61,12 +61,12 @@ def metric_scale(gamma, hbar=1.0):
 
 def metric_factor(kind, u):
     """m(u) = g/g0 at u = lam * theta, elementwise with numpy."""
-    return PROFILES[SchemeKind(kind)].m(np, u)
+    return PROFILES[kind].m(np, u)
 
 
 def shape_factor(kind, u):
     """Intensity shape w(u) = intensity/gamma, elementwise with numpy."""
-    return PROFILES[SchemeKind(kind)].w(np, u)
+    return PROFILES[kind].w(np, u)
 
 
 def fisher_closed_form(scheme: DrivingScheme) -> MetricField:
