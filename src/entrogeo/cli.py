@@ -417,13 +417,14 @@ class _Parser(argparse.ArgumentParser):
     Subparsers are made with this class too and parse their own words."""
 
     def __init__(self, *args, **kwargs):
+        # option string -> number of float values it takes, 0 for the others
+        self.float_slots: dict[str, int] = {}
         super().__init__(*args, **kwargs)
-        self.float_nargs: dict[str, int] = {}  # option string -> values it takes
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        if action.type is float:
-            self.float_nargs.update(dict.fromkeys(action.option_strings, action.nargs or 1))
+        slots = (action.nargs or 1) if action.type is float else 0
+        self.float_slots.update(dict.fromkeys(action.option_strings, slots))
         return action
 
     def parse_known_args(self, args=None, namespace=None):
@@ -433,8 +434,12 @@ class _Parser(argparse.ArgumentParser):
                 slots -= 1
                 if word.startswith("-") and _is_float(word):
                     words[i] = " " + word
-            else:
-                slots = self.float_nargs.get(word, 0)
+            elif word in self.float_slots:
+                slots = self.float_slots[word]
+            elif word.startswith("--"):
+                # argparse also takes an unambiguous prefix of an option
+                match = [n for option, n in self.float_slots.items() if option.startswith(word)]
+                slots = match[0] if len(match) == 1 else 0
         return super().parse_known_args(words, namespace)
 
 

@@ -255,6 +255,13 @@ class TestNegativeExponentFloats:
         assert separate == joined
         assert "expected one argument" not in joined[2]
 
+    @pytest.mark.parametrize("option", ["--tau-sta", "--lambda-sto", "--lambda-c"])
+    def test_abbreviated_option(self, option, capsys):
+        base = ["figure1", "--lambda-count", "3", "--tau-count", "3"]
+        joined = _main_outcome([*base, f"{option}=-1e-3"], capsys)
+        separate = _main_outcome([*base, option, "-1e-3"], capsys)
+        assert separate == joined
+
     # --bracket takes two words, so it has no joined form; its plain
     # decimal form -0.001 is read as a value already
     @pytest.mark.parametrize("pair", [("-1e-3", "5"), ("1", "-1e-3")],
