@@ -384,7 +384,7 @@ def cmd_crossover(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_checks
 
-    results = run_checks(name_filter=args.filter, inject_failure=args.inject_failure)
+    results = run_checks(name_filter=args.filter)
     if not results:
         print(f"no invariant matches filter {args.filter!r}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -538,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--filter", default=None,
                    help="run only invariants whose name contains this substring")
-    p.add_argument("--inject-failure", action="store_true",
-                   help=argparse.SUPPRESS)  # harness self-test hook
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -180,7 +180,8 @@ def geodesic_numeric(
     Refuses to step past _VALIDITY_MARGIN * validity_end when a finite
     singularity location is supplied; the closed form knows it.  The metric
     must stay above _METRIC_FLOOR * g(theta0) along the path: the floor is
-    relative, since g scales with (gamma/hbar)^2.
+    relative, since g scales with (gamma/hbar)^2.  A divergence-form state
+    g(theta0) * thetadot0 past the float range raises OverflowError.
     """
     formulation = GeodesicFormulation(formulation)
     if theta0 <= 0 or thetadot0 <= 0:
@@ -225,13 +226,18 @@ def geodesic_numeric(
             return [thd, 0.5 * metric.dg_dtheta(th) * thd * thd]
 
         y0 = [theta0, g_start * thetadot0]
+        if not math.isfinite(y0[1]):
+            raise OverflowError(f"g(theta0) * thetadot0 = {g_start} * {thetadot0} is not finite")
 
     from scipy.integrate import solve_ivp
 
     xi_grid = np.linspace(xi0, xi_end, n_samples)
-    sol = solve_ivp(
-        rhs, (xi0, xi_end), y0, method="RK45", rtol=_ODE_TOL, atol=_ODE_TOL, t_eval=xi_grid,
-    )
+    # the solver's step-size estimate may overflow for huge states; a
+    # non-finite result is refused by the caller, not warned about here
+    with np.errstate(all="ignore"):
+        sol = solve_ivp(
+            rhs, (xi0, xi_end), y0, method="RK45", rtol=_ODE_TOL, atol=_ODE_TOL, t_eval=xi_grid,
+        )
     if not sol.success:
         raise StepFailure(f"geodesic integration failed: {sol.message}")
     theta = sol.y[0]

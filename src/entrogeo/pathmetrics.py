@@ -18,8 +18,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .errors import DegenerateDistribution, DomainError, QuadratureFailure
-from .geometry import Geodesic, MetricField, fisher_closed_form, geodesic_closed_form
+from .errors import DomainError, QuadratureFailure
+from .geometry import (
+    Geodesic,
+    MetricField,
+    fisher_closed_form,
+    fisher_numeric,
+    geodesic_closed_form,
+)
 from .schemes import DrivingScheme, ProbabilityPath
 
 _QUAD_EPSREL = 1e-10
@@ -111,23 +117,14 @@ def entropy_rate_score(
 
         sum_x p_x(theta) * (d log p_x / dxi)^2,
 
-    with d/dxi = theta' * d/dtheta and d_theta log p_x by central differences.
+    i.e. the finite-difference Fisher information times theta'^2.
     """
     traj._check(xi)
     th = traj.theta_of_xi(xi)
     thd = traj.thetadot_of_xi(xi)
     if thd == 0.0:
         return 0.0
-    if h is None:
-        h = 1e-6 * max(1.0, abs(th))
-    pw, pp = path.probabilities(th)
-    if min(pw, pp) < 1e-12:
-        raise DegenerateDistribution(f"p = ({pw}, {pp}) at theta={th}")
-    pw_hi, pp_hi = path.probabilities(th + h)
-    pw_lo, pp_lo = path.probabilities(th - h)
-    dlog_w = (math.log(pw_hi) - math.log(pw_lo)) / (2.0 * h)
-    dlog_p = (math.log(pp_hi) - math.log(pp_lo)) / (2.0 * h)
-    return (pw * dlog_w**2 + pp * dlog_p**2) * thd * thd
+    return fisher_numeric(path, th, h) * thd * thd
 
 
 def igc(

@@ -1,8 +1,9 @@
-"""Named invariant checks spanning all modules.
+"""Named invariant checks spanning all modules: the acceptance criteria.
 
 Each check raises AssertionError on failure; `run_checks` collects
-results and is the engine behind the CLI `verify` command.  Randomized
-checks use a fixed seed so runs are reproducible.
+results and is the engine behind the CLI `verify` command, and the test
+suite runs every entry of `CHECKS` in process.  Randomized checks use a
+fixed seed so runs are reproducible.
 """
 from __future__ import annotations
 
@@ -140,7 +141,7 @@ def check_fisher_numeric():
             n += 1
             if n >= 100:
                 break
-        assert n >= 50, f"{scheme.kind}: too few usable sample points"
+        assert n >= 100, f"{scheme.kind}: too few usable sample points"
 
 
 _IC = dict(theta0=1.0, thetadot0=0.1, xi0=0.0)
@@ -282,7 +283,7 @@ def check_rate_routes():
             n += 1
             if n >= 100:
                 break
-        assert n >= 50
+        assert n >= 100, f"{scheme.kind}: too few usable sample points"
 
 
 def check_slope_law():
@@ -334,7 +335,7 @@ def check_efficiency_range():
 
 def check_efficiency_monotonicity():
     r_min = 0.7
-    v = np.linspace(math.sqrt(r_min), 50.0, 10_000)
+    v = np.linspace(math.sqrt(r_min), 100.0, 20_000)
     etas = efficiency.eta_sym(r_min, v * v)
     assert np.all(np.diff(etas) <= 1e-15), "eta_sym not non-increasing in v"
 
@@ -446,17 +447,9 @@ CHECKS: dict[str, Callable[[], None]] = {
 }
 
 
-def _injected_failure():
-    raise AssertionError("injected tolerance breach (test hook)")
-
-
-def run_checks(
-    name_filter: Optional[str] = None, inject_failure: bool = False
-) -> list[CheckResult]:
+def run_checks(name_filter: Optional[str] = None) -> list[CheckResult]:
     """Run all (or filtered) invariant checks; never raises."""
-    checks = dict(CHECKS)
-    if inject_failure:
-        checks["injected"] = _injected_failure
+    checks = CHECKS
     if name_filter:
         checks = {k: v for k, v in checks.items() if name_filter in k}
     results = []

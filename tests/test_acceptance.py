@@ -1,14 +1,18 @@
-"""Acceptance suite: one test per criterion, each at its stated tolerance.
+"""Acceptance suite.
 
-Criteria cover geodesic and Fisher oracles, the constant-speed /
-minimum-entropy equalities, Cauchy-Schwarz strictness, dual-route rates,
-the pi^2 worked example, the exponential/power-law crossover, the
-complexity slope law, figure ratios, scheme ranking, efficiency
-monotonicity, amplitude unitarity, the ensemble entropy curve, and CLI
-determinism.
+Each acceptance criterion is written once, as a named check in
+``entrogeo.verify.CHECKS``: the geodesic and Fisher oracles, the
+constant-speed / minimum-entropy equality, Cauchy-Schwarz strictness,
+dual-route rates, the pi^2 worked example, the crossover, the slope law,
+scheme ranking, efficiency monotonicity, amplitude unitarity and the
+ensemble entropy curve.  ``test_check`` runs every one in process, the
+same code ``entrogeo verify`` runs.
+
+The tests after it hold what no check covers: speed constancy along the
+closed-form geodesic, the figure-2 ratios as emitted, the table-1 order
+at lambda = 18, dC/dv = 1/2 across launch speeds, and CLI determinism.
 """
 import json
-import math
 import subprocess
 import sys
 
@@ -17,295 +21,86 @@ import pytest
 
 from entrogeo import (
     DrivingScheme,
-    GeodesicFormulation,
     ParamTrajectory,
     SchemeKind,
-    TwoLevelEnsemble,
-    amplitudes,
-    beta_from_upper_probability,
+    cli,
     entropic_speed,
-    entropy_of_energy,
-    entropy_rate_canonical,
-    entropy_rate_metric,
-    entropy_rate_probability_velocity,
-    entropy_rate_score,
-    eta_sym,
     fisher_closed_form,
-    fisher_numeric,
     geodesic_closed_form,
-    geodesic_numeric,
     igc,
-    igc_asymptotic_slope,
-    integrated_phase,
-    probability_path,
-    rate_crossover,
-    region_boundary_scale,
-    thermodynamic_divergence,
-    thermodynamic_length,
-    transition_probability,
 )
-from entrogeo.efficiency import check_ranking_preservation, entropy_rate_of_scheme
-from entrogeo.verify import standard_schemes
-
-ALL_KINDS = (
-    SchemeKind.CONSTANT,
-    SchemeKind.OSCILLATING,
-    SchemeKind.POWER_LAW,
-    SchemeKind.EXPONENTIAL,
-)
-
-THETA0, THETADOT0, LAM, XI0 = 1.0, 0.1, 0.5, 0.0
+from entrogeo.efficiency import entropy_rate_of_scheme
+from entrogeo.schemes import standard_schemes
+from entrogeo.verify import CHECKS
 
 
-def unit_gamma_schemes():
-    """The four schemes with gamma = hbar = 1, lam = 0.5."""
-    out = []
-    for kind in ALL_KINDS:
-        if kind is SchemeKind.CONSTANT:
-            out.append(DrivingScheme(kind=kind, gamma=1.0, hbar=1.0))
-        else:
-            out.append(
-                DrivingScheme(
-                    kind=kind, gamma=1.0, lam=LAM, hbar=1.0,
-                    resonance_max_constraint=False,
-                )
-            )
-    return out
-
-
-def test_01_geodesic_oracle():
-    """Numeric integration (both formulations) matches closed forms to 1e-6."""
-    for scheme in unit_gamma_schemes():
-        metric = fisher_closed_form(scheme)
-        geo = geodesic_closed_form(scheme, XI0, THETA0, THETADOT0)
-        for form in GeodesicFormulation:
-            num = geodesic_numeric(
-                metric, XI0, THETA0, THETADOT0, 1.0,
-                formulation=form, validity_end=geo.validity_end,
-            )
-            err = np.max(np.abs(num.theta - np.asarray(geo.theta(num.xi))))
-            assert err <= 1e-6, f"{scheme.kind.value}/{form.value}: {err}"
-
-
-def test_02_fisher_oracle():
-    """Closed-form g matches finite-difference Fisher (rel 1e-6) and 4f'^2 (1e-8)."""
-    rng = np.random.default_rng(42)
-    for scheme in unit_gamma_schemes():
-        metric = fisher_closed_form(scheme)
-        path = probability_path(scheme)
-        hi = scheme.theta_max if math.isfinite(scheme.theta_max) else 5.0
-        checked = 0
-        for th in rng.uniform(0.05 * hi, 0.95 * hi, size=400):
-            pw, pp = path.probabilities(th)
-            if min(pw, pp) < 1e-3:
-                continue  # score function ill-conditioned for the FD route
-            assert abs(fisher_numeric(path, th) - metric.g(th)) <= 1e-6 * metric.g(th)
-            checked += 1
-            if checked >= 100:
-                break
-        assert checked >= 100, f"{scheme.kind.value}: only {checked} points"
-        for th in rng.uniform(0.05 * hi, 0.95 * hi, size=100):
-            h = 1e-6 * max(1.0, th)
-            fp = (integrated_phase(scheme, th + h) - integrated_phase(scheme, th - h)) / (2 * h)
-            assert abs(metric.g(th) - 4.0 * fp**2) <= 1e-8 * max(1.0, metric.g(th))
+@pytest.mark.parametrize("name", list(CHECKS))
+def test_check(name):
+    CHECKS[name]()
 
 
 def test_03_constant_speed_minimum_entropy():
-    """On geodesics: v_E constant to 1e-7, I = L^2/tau to 1e-6, r = v^2 to 1e-10."""
-    for scheme in unit_gamma_schemes():
+    """v_E is constant to 1e-7 along the closed-form geodesic (101 points).
+
+    I = L^2/tau is `geodesic-equality`, r = v^2 is `rate-routes`, and the
+    numeric geodesic's speed is `speed-constancy`.
+    """
+    for scheme in standard_schemes():
         metric = fisher_closed_form(scheme)
-        geo = geodesic_closed_form(scheme, XI0, THETA0, THETADOT0)
+        geo = geodesic_closed_form(scheme, 0.0, 1.0, 0.1)
         tau = min(1.0, 0.4 * (geo.validity_end - geo.xi0))
         traj = ParamTrajectory.from_geodesic(geo, (0.0, tau))
-        xis = np.linspace(0.0, tau, 101)
-        v = np.array([entropic_speed(metric, traj, x) for x in xis])
+        v = np.array([entropic_speed(metric, traj, x) for x in np.linspace(0.0, tau, 101)])
         assert np.std(v) / np.mean(v) <= 1e-7, f"{scheme.kind.value}: speed drift"
-        L = thermodynamic_length(metric, traj)
-        I = thermodynamic_divergence(metric, traj)
-        assert abs(I - L**2 / tau) / I <= 1e-6
-        for x in xis[::10]:
-            r = entropy_rate_metric(metric, traj, x)
-            vx = entropic_speed(metric, traj, x)
-            assert abs(r - vx * vx) <= 1e-10 * max(1.0, r)
 
 
-def test_04_cauchy_schwarz_strictness():
-    """theta(xi) = theta_geo(xi^2) is non-geodesic: I*tau - L^2 strictly > 0."""
-    for scheme in unit_gamma_schemes():
-        metric = fisher_closed_form(scheme)
-        geo = geodesic_closed_form(scheme, XI0, THETA0, THETADOT0)
-        tau = min(1.0, math.sqrt(0.4 * (geo.validity_end - geo.xi0)))
-        traj = ParamTrajectory(
-            theta_of_xi=lambda xi: geo.theta(xi * xi),
-            thetadot_of_xi=lambda xi: 2.0 * xi * geo.thetadot(xi * xi),
-            xi_range=(0.0, tau),
-        )
-        L = thermodynamic_length(metric, traj)
-        I = thermodynamic_divergence(metric, traj)
-        gap = (I * tau - L**2) / (I * tau)
-        assert gap >= 1e-3, f"{scheme.kind.value}: gap {gap}"
+def test_09_figure_ratios(tmp_path):
+    """figure2's CSV: R_r = R_C^2 to 1e-10; R_C(0.5) = e^{-1/2} * 2.25 to 1e-10."""
+    out = tmp_path / "f2.csv"
+    assert cli.main(["figure2", "--grid-count", "2", "--output", str(out)]) == 0
+    lines = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    table = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    cols = dict(zip(lines[0].split(","), table.T))
+    assert np.max(np.abs(cols["ratio_rate"] - cols["ratio_igc"] ** 2)) <= 1e-10
+    row = np.argmin(np.abs(cols["lambda"] - 0.5))
+    assert abs(cols["lambda"][row] - 0.5) <= 1e-12
+    assert abs(cols["ratio_igc"][row] - 1.3646939843534251) <= 1e-10  # frozen oracle value
 
 
-def test_05_dual_route_rate():
-    """entropy_rate_metric agrees with entropy_rate_score to 1e-8."""
-    rng = np.random.default_rng(7)
-    for scheme in unit_gamma_schemes():
-        metric = fisher_closed_form(scheme)
-        path = probability_path(scheme)
-        geo = geodesic_closed_form(scheme, XI0, THETA0, THETADOT0)
-        tau = min(1.0, 0.4 * (geo.validity_end - geo.xi0))
-        traj = ParamTrajectory.from_geodesic(geo, (0.0, tau))
-        checked = 0
-        for xi in rng.uniform(0.0, tau, size=400):
-            pw, pp = path.probabilities(geo.theta(xi))
-            if min(pw, pp) < 1e-3:
-                continue
-            rm = entropy_rate_metric(metric, traj, xi)
-            rs = entropy_rate_score(path, traj, xi)
-            assert abs(rm - rs) <= 1e-8 * max(1.0, rm)
-            checked += 1
-            if checked >= 100:
-                break
-        assert checked >= 100
+def test_10_ranking(capsys):
+    """lambda = 18 orders the rates strictly; table1 conforms at 18, not at 0.5.
 
-
-def test_06_pi_squared_example():
-    """p = (sin^2, cos^2) with theta = (pi/2) xi gives rate pi^2 by three routes."""
-    constant = DrivingScheme(kind=SchemeKind.CONSTANT, gamma=1.0, hbar=1.0)
-    path = probability_path(constant)
-    traj = ParamTrajectory(
-        theta_of_xi=lambda xi: 0.5 * math.pi * xi,
-        thetadot_of_xi=lambda xi: 0.5 * math.pi,
-        xi_range=(0.0, 1.0),
-    )
-    ens = TwoLevelEnsemble(epsilon=1.0)
-    p_upper = lambda xi: math.sin(0.5 * math.pi * xi) ** 2
-    beta_of_xi = lambda xi: beta_from_upper_probability(ens, p_upper(xi))
-    target = math.pi**2
-    for xi in (0.25, 0.5, 0.6):
-        assert abs(entropy_rate_score(path, traj, xi) - target) <= 1e-8 * target
-        assert abs(entropy_rate_canonical(ens, beta_of_xi, xi) - target) <= 1e-8 * target
-        assert (
-            abs(entropy_rate_probability_velocity(ens, p_upper, xi) - target)
-            <= 1e-8 * target
-        )
-
-
-def test_07_crossover():
-    """Exponential/power-law rate crossover at lam = 2.51 +/- 0.01; boundary identity."""
-    lam_star = rate_crossover(SchemeKind.EXPONENTIAL, SchemeKind.POWER_LAW, 1.0, (1.0, 5.0))
-    assert abs(lam_star - 2.51) <= 0.01
-    u_star = region_boundary_scale()
-    assert abs((1.0 + u_star) ** 2 - math.exp(u_star)) <= 1e-8
-    assert abs(u_star - lam_star) <= 1e-8  # theta0 = 1
-
-
-def test_08_slope_law():
-    """igc_rate / v_E = 1/2 to 1e-6; quadrature rate matches the closed-form slope."""
-    for scheme in unit_gamma_schemes():
-        metric = fisher_closed_form(scheme)
-        geo = geodesic_closed_form(scheme, XI0, THETA0, THETADOT0)
-        tau = min(1.0, 0.4 * (geo.validity_end - geo.xi0))
-        _, rate = igc(metric, geo, tau)
-        traj = ParamTrajectory.from_geodesic(geo, (0.0, tau))
-        v = entropic_speed(metric, traj, 0.0)
-        assert abs(rate / v - 0.5) <= 1e-6, f"{scheme.kind.value}"
-        slope = igc_asymptotic_slope(scheme, THETA0, THETADOT0)
-        assert abs(rate - slope) <= 1e-6 * max(1.0, slope)
-
-
-def test_09_figure_ratios():
-    """R_r = R_C^2 to 1e-10 on the lam grid; R_C(0.5) = e^{-1/2} * 2.25 to 1e-10."""
-    theta0 = 1.0
-    lam = np.linspace(0.0, 6.0, 601)
-    u = lam * theta0
-    ratio_igc = np.exp(-u) * (1.0 + u) ** 2
-    ratio_rate = np.exp(-2.0 * u) * (1.0 + u) ** 4
-    assert np.max(np.abs(ratio_rate - ratio_igc**2)) <= 1e-10
-    r_c_half = math.exp(-0.5) * (1.5) ** 2
-    assert abs(r_c_half - 1.3646939843534251) <= 1e-10  # frozen oracle value
-    idx = np.argmin(np.abs(lam - 0.5))
-    assert abs(ratio_igc[idx] - r_c_half) <= 1e-10
-
-
-def test_10_ranking():
-    """lam=18 ordering holds; conformance true at 18, false at 0.5; order preserved."""
-    rates18 = {
-        s.kind: entropy_rate_of_scheme(s, 1.0, 1.0) for s in standard_schemes(lam=18.0)
-    }
+    Order preservation over random rates is `ranking-agreement`.
+    """
+    rates = {s.kind: entropy_rate_of_scheme(s, 1.0, 1.0) for s in standard_schemes(lam=18.0)}
     assert (
-        rates18[SchemeKind.EXPONENTIAL]
-        < rates18[SchemeKind.POWER_LAW]
-        < rates18[SchemeKind.CONSTANT]
+        rates[SchemeKind.EXPONENTIAL]
+        < rates[SchemeKind.POWER_LAW]
+        < rates[SchemeKind.CONSTANT]
     )
-
-    def conformance(lam):
-        out = subprocess.run(
-            [sys.executable, "-m", "entrogeo.cli", "table1", "--lambda", str(lam)],
-            capture_output=True, text=True, check=True,
-        )
-        return json.loads(out.stdout)["table_conformance"]
-
-    assert conformance(18.0) is True
-    assert conformance(0.5) is False
-
-    rng = np.random.default_rng(11)
-    for _ in range(1000):
-        rates = rng.uniform(0.01, 100.0, size=rng.integers(2, 9)).tolist()
-        assert check_ranking_preservation(rates)
+    for lam, conforms in ((18.0, True), (0.5, False)):
+        assert cli.main(["table1", "--lambda", str(lam)]) == 0
+        assert json.loads(capsys.readouterr().out)["table_conformance"] is conforms
 
 
 def test_11_efficiency_monotonicity():
-    """eta_sym(r_min, v^2) non-increasing in v >= sqrt(r_min); dC/dv = 1/2."""
-    r_min = 0.7
-    v = np.linspace(math.sqrt(r_min), 100.0, 10_000)
-    etas = np.array([eta_sym(r_min, vi * vi) for vi in v])
-    assert np.all(np.diff(etas) <= 1e-15)
-    # dC/dv_E = 1/2 >= 0: the rate scales as v_E / 2 across launch speeds
-    scheme = DrivingScheme(kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=LAM,
-                           hbar=1.0, resonance_max_constraint=False)
+    """dC/dtau = v_E / 2 to 1e-6 across launch speeds, so dC/dv_E = 1/2 >= 0.
+
+    eta_sym(r_min, v^2) non-increasing in v is `efficiency-monotonicity`.
+    """
+    scheme = DrivingScheme(kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=0.5, hbar=1.0,
+                           resonance_max_constraint=False)
     metric = fisher_closed_form(scheme)
-    slopes = []
     for thd0 in (0.05, 0.1, 0.2):
-        geo = geodesic_closed_form(scheme, 0.0, THETA0, thd0)
+        geo = geodesic_closed_form(scheme, 0.0, 1.0, thd0)
         tau = 0.4 * (geo.validity_end - geo.xi0)
         _, rate = igc(metric, geo, tau)
-        traj = ParamTrajectory.from_geodesic(geo, (0.0, tau))
-        v0 = entropic_speed(metric, traj, 0.0)
-        slopes.append(rate / v0)
-    assert all(abs(s - 0.5) <= 1e-6 for s in slopes)
-
-
-def test_12_unitarity_and_consistency():
-    """|alpha|^2 + |beta|^2 = 1 to 1e-12; x=0, b=0 transition equals p_w."""
-    rng = np.random.default_rng(3)
-    for _ in range(1000):
-        pair = amplitudes(
-            rng.uniform(-10, 10), rng.uniform(0, 10), rng.uniform(0, 2 * math.pi)
-        )
-        assert pair.unitarity_defect() <= 1e-12
-    for scheme in unit_gamma_schemes():
-        path = probability_path(scheme)
-        hi = scheme.theta_max if math.isfinite(scheme.theta_max) else 3.0
-        for th in np.linspace(0.1 * hi, 0.9 * hi, 25):
-            pair = amplitudes(0.0, path.phase(th), 1.234)
-            assert abs(transition_probability(pair, 0.0) - path.p_w(th)) <= 1e-12
-
-
-def test_13_entropy_curve():
-    """sigma(0) = log 2 to 1e-14; sigma(+/-N eps) = 0; concave and symmetric."""
-    ens = TwoLevelEnsemble(epsilon=1.0, n_elements=3)
-    assert abs(entropy_of_energy(ens, 0.0) - math.log(2.0)) <= 1e-14
-    assert entropy_of_energy(ens, ens.u_max) == 0.0
-    assert entropy_of_energy(ens, -ens.u_max) == 0.0
-    grid = np.linspace(-ens.u_max, ens.u_max, 1000)
-    sig = np.array([entropy_of_energy(ens, u) for u in grid])
-    assert np.all(np.diff(sig, 2) < 0.0)
-    assert np.max(np.abs(sig - sig[::-1])) <= 1e-14
+        v0 = entropic_speed(metric, ParamTrajectory.from_geodesic(geo, (0.0, tau)), 0.0)
+        assert abs(rate / v0 - 0.5) <= 1e-6, f"thetadot0={thd0}"
 
 
 def test_14_cli_determinism(tmp_path):
-    """Repeated figure runs are bit-identical; verify exits 0."""
+    """Repeated figure runs are bit-identical."""
     def run(cmd, out):
         subprocess.run(
             [sys.executable, "-m", "entrogeo.cli", *cmd, "--output", str(out)],
@@ -320,8 +115,3 @@ def test_14_cli_determinism(tmp_path):
     f2b = run(["figure2", "--lambda-count", "31", "--grid-count", "21"], tmp_path / "b2.csv")
     assert f2a == f2b
     assert (tmp_path / "a2_region.csv").read_bytes() == (tmp_path / "b2_region.csv").read_bytes()
-    res = subprocess.run(
-        [sys.executable, "-m", "entrogeo.cli", "verify", "--filter", "crossover"],
-        capture_output=True,
-    )
-    assert res.returncode == 0

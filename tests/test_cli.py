@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrogeo import DrivingScheme, SchemeKind, __version__, cli, eta_sym
+from entrogeo import DrivingScheme, SchemeKind, __version__, cli, eta_sym, verify
 from entrogeo.efficiency import entropy_rate_of_scheme, region_boundary_scale
 
 ENTROGEO = [sys.executable, "-m", "entrogeo.cli"]
@@ -109,8 +109,10 @@ class TestExitCodes:
         ["metrics", "--scheme", "power_law", "--lambda", "1e200", "--gamma", "1"],
         ["table1", "--lambda", "1e300"],
         ["geodesic", "--scheme", "power_law", "--lambda", "1e300"],
+        ["geodesic", "--scheme", "constant", "--thetadot0", "1e308", "--xi-end", "2",
+         "--samples", "3"],
     ], ids=["metrics-exponential", "metrics-constant-gamma", "metrics-power_law",
-            "table1", "geodesic-power_law"])
+            "table1", "geodesic-power_law", "geodesic-divergence-state"])
     def test_derived_overflow_is_usage_error(self, argv):
         # finite argv whose derived quantities overflow a float; this used
         # to end in an OverflowError traceback with exit 1
@@ -179,6 +181,14 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
 
+    def test_huge_launch_speed_geodesic_is_quiet(self):
+        # the rows are finite, but the solver's first-step estimate overflows;
+        # its RuntimeWarnings used to reach stderr
+        argv = ["geodesic", "--scheme", "constant", "--thetadot0", "1e300", "--samples", "3"]
+        res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert res.stderr == ""
+
     def test_small_lambda_geodesic_is_integrated(self):
         # g = (pi lambda)^2 m(u) is ~1e-13 here, but the metric is as regular
         # as at lambda = 0.5; an absolute floor on g used to refuse it (exit 3)
@@ -206,10 +216,22 @@ class TestExitCodes:
     def test_verify_ok(self):
         assert run("verify", "--filter", "crossover").returncode == 0
 
-    def test_verify_injected_failure(self):
-        res = run("verify", "--filter", "injected", "--inject-failure")
-        assert res.returncode == 1
-        assert "FAIL injected" in res.stdout
+    def test_verify_injected_failure(self, monkeypatch, capsys):
+        def breach():
+            raise AssertionError("tolerance breach")
+
+        def crash():
+            raise ValueError("bad value")
+
+        monkeypatch.setitem(verify.CHECKS, "injected-breach", breach)
+        monkeypatch.setitem(verify.CHECKS, "injected-error", crash)
+        assert cli.main(["verify", "--filter", "injected"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [
+            "FAIL injected-breach: tolerance breach",
+            "FAIL injected-error: ValueError: bad value",
+            "0/2 invariants passed",
+        ]
 
     def test_verify_empty_filter_is_usage_error(self):
         assert run("verify", "--filter", "no-such-check").returncode == 2

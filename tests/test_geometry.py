@@ -177,3 +177,11 @@ class TestNumericGeodesics:
         with pytest.raises(OutOfValidity):
             geodesic_numeric(metric, 0.0, 1.0, 0.1, 19.999,
                              validity_end=geo.validity_end)
+
+    def test_overflowed_divergence_state_names_its_cause(self):
+        # y0 = g(theta0) * thetadot0 is inf here; the solver used to reject
+        # it as "initial state y0 must be finite"
+        metric = fisher_closed_form(scheme_of(SchemeKind.CONSTANT))
+        with pytest.raises(OverflowError, match=r"g\(theta0\) \* thetadot0"):
+            geodesic_numeric(metric, 0.0, 1.0, 1e308, 2.0,
+                             formulation=GeodesicFormulation.DIVERGENCE, n_samples=3)
