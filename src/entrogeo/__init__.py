@@ -11,6 +11,7 @@ from .errors import (
     NoSignChange,
     OutOfValidity,
     QuadratureFailure,
+    RootFailure,
     StepFailure,
 )
 from .schemes import (

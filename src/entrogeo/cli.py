@@ -26,6 +26,7 @@ from .errors import (
     NoSignChange,
     OutOfValidity,
     QuadratureFailure,
+    RootFailure,
     StepFailure,
 )
 from .geometry import (
@@ -44,7 +45,7 @@ EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
 
 _DOMAIN_ERRORS = (DomainError, OutOfValidity, NoSignChange, DegenerateDistribution, ValueError)
-_NUMERICAL_ERRORS = (QuadratureFailure, StepFailure, MetricDegenerate)
+_NUMERICAL_ERRORS = (QuadratureFailure, RootFailure, StepFailure, MetricDegenerate)
 
 
 # rows turned into Python floats at a time; bounds the transient lists
@@ -151,12 +152,7 @@ def _build_scheme(args) -> DrivingScheme:
     if kind is SchemeKind.CONSTANT:
         gamma = 1.0 if args.gamma is None else args.gamma
         return DrivingScheme(kind=kind, gamma=gamma, hbar=args.hbar)
-    if args.gamma is not None:
-        return DrivingScheme(
-            kind=kind, gamma=args.gamma, lam=args.lam, hbar=args.hbar,
-            resonance_max_constraint=False,
-        )
-    return DrivingScheme.resonant(kind, lam=args.lam, hbar=args.hbar)
+    return DrivingScheme(kind=kind, gamma=args.gamma, lam=args.lam, hbar=args.hbar)
 
 
 # --- subcommands ---------------------------------------------------------
@@ -575,9 +571,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OverflowError as exc:
-        # finite inputs whose derived quantities, such as g0 = (2 gamma/hbar)^2,
-        # do not fit in a float
+    except (OverflowError, ZeroDivisionError) as exc:
+        # finite inputs whose derived quantities do not fit in a float: an
+        # overflow such as g0 = (2 gamma/hbar)^2, a divisor that underflowed
+        # to 0, or a profile evaluated at its pole
         print(f"error: a derived quantity left the float range ({exc.args[-1]})",
               file=sys.stderr)
         return EXIT_DOMAIN

@@ -18,11 +18,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NoSignChange
+from .errors import DomainError, NoSignChange, RootFailure
 from .geometry import fisher_closed_form, metric_factor, metric_scale
 from .schemes import PROFILES, DrivingScheme, SchemeKind, resonant_gamma
 
 _BRENT_XTOL = 1e-10
+# halving the widest finite bracket (< 2**1025) down to xtol takes ~1,060
+# steps, and Brent's safeguarded steps were seen to need up to 1,238
+_BRENT_MAXITER = 4000
 
 
 def eta1(r: float, r_max: float) -> float:
@@ -145,8 +148,8 @@ def rank_schemes(
 
 
 def rate_crossover(
-    scheme_a: SchemeKind | DrivingScheme,
-    scheme_b: SchemeKind | DrivingScheme,
+    scheme_a: SchemeKind,
+    scheme_b: SchemeKind,
     theta0: float,
     lambda_bracket: tuple[float, float],
 ) -> float:
@@ -155,9 +158,7 @@ def rate_crossover(
     Rates are compared at shared gamma, so only the metric factors
     m(lam * theta0) matter.
     """
-    kind_a = scheme_a.kind if isinstance(scheme_a, DrivingScheme) else SchemeKind(scheme_a)
-    kind_b = scheme_b.kind if isinstance(scheme_b, DrivingScheme) else SchemeKind(scheme_b)
-    m_a, m_b = PROFILES[kind_a].m, PROFILES[kind_b].m
+    m_a, m_b = PROFILES[SchemeKind(scheme_a)].m, PROFILES[SchemeKind(scheme_b)].m
 
     def diff(lam: float) -> float:
         return m_a(math, lam * theta0) - m_b(math, lam * theta0)
@@ -172,7 +173,11 @@ def rate_crossover(
         )
     from scipy.optimize import brentq
 
-    return float(brentq(diff, a, b, xtol=_BRENT_XTOL))
+    root, res = brentq(diff, a, b, xtol=_BRENT_XTOL, maxiter=_BRENT_MAXITER,
+                       full_output=True, disp=False)
+    if not res.converged:
+        raise RootFailure(f"no crossover within {res.iterations} iterations on [{a}, {b}]")
+    return float(root)
 
 
 def region_boundary_scale() -> float:

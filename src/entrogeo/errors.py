@@ -25,6 +25,10 @@ class QuadratureFailure(EntrogeoError):
     """Adaptive quadrature did not converge within its budget."""
 
 
+class RootFailure(EntrogeoError):
+    """The root finder did not converge within its budget."""
+
+
 class OutOfValidity(EntrogeoError):
     """A geodesic was evaluated beyond its validity interval."""
 

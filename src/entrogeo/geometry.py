@@ -82,13 +82,12 @@ def fisher_closed_form(scheme: DrivingScheme) -> MetricField:
     )
 
 
-def fisher_numeric(path: ProbabilityPath, theta: float, h: Optional[float] = None) -> float:
+def fisher_numeric(path: ProbabilityPath, theta: float) -> float:
     """Fisher information from central differences of the log-probabilities.
 
     Step balances truncation against round-off at double precision.
     """
-    if h is None:
-        h = 1e-6 * max(1.0, abs(theta))
+    h = 1e-6 * max(1.0, abs(theta))
     pw, pp = path.probabilities(theta)
     if min(pw, pp) < _P_FLOOR:
         raise DegenerateDistribution(
@@ -180,8 +179,10 @@ def geodesic_numeric(
     Refuses to step past _VALIDITY_MARGIN * validity_end when a finite
     singularity location is supplied; the closed form knows it.  The metric
     must stay above _METRIC_FLOOR * g(theta0) along the path: the floor is
-    relative, since g scales with (gamma/hbar)^2.  A divergence-form state
-    g(theta0) * thetadot0 past the float range raises OverflowError.
+    relative, since g scales with (gamma/hbar)^2.  A metric that is not
+    finite at theta0, a divergence-form state g(theta0) * thetadot0 past
+    the float range, or a theta that overflows along the path raises
+    OverflowError.
     """
     formulation = GeodesicFormulation(formulation)
     if theta0 <= 0 or thetadot0 <= 0:
@@ -201,10 +202,19 @@ def geodesic_numeric(
             )
 
     g_start = metric.g(theta0)
+    dg_start = metric.dg_dtheta(theta0)
+    if not (math.isfinite(g_start) and math.isfinite(dg_start)):
+        # such as g0 = inf times an underflowed m = 0; a NaN first
+        # derivative makes solve_ivp's first step NaN, and it never returns
+        raise OverflowError(f"g({theta0}) = {g_start}, dg/dtheta = {dg_start}: not finite")
     # an underflowed g(theta0) = 0 gives floor 0, which g = 0 does not pass
     floor = _METRIC_FLOOR * g_start
 
     def guard(theta: float) -> float:
+        # past an overflowed theta the solver keeps taking finite steps
+        # across the whole span, which can take forever
+        if not math.isfinite(theta):
+            raise OverflowError(f"theta = {theta} along the geodesic")
         g = metric.g(theta)
         if g <= floor:
             raise MetricDegenerate(f"g({theta}) = {g} at or below the positivity floor {floor}")
@@ -248,13 +258,12 @@ def geodesic_numeric(
     return SampledGeodesic(xi=sol.t, theta=theta, thetadot=thetadot, formulation=formulation)
 
 
-def geodesic_residual(metric: MetricField, geo: Geodesic, xi: float, h: Optional[float] = None) -> float:
+def geodesic_residual(metric: MetricField, geo: Geodesic, xi: float) -> float:
     """Residual of theta'' + (1/2g) g' theta'^2 along a closed-form geodesic.
 
     theta'' is taken by central differences of the analytic thetadot.
     """
-    if h is None:
-        h = 1e-6 * max(1.0, abs(xi - geo.xi0))
+    h = 1e-6 * max(1.0, abs(xi - geo.xi0))
     thdd = (geo.thetadot(xi + h) - geo.thetadot(xi - h)) / (2.0 * h)
     th = geo.theta(xi)
     thd = geo.thetadot(xi)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import DomainError, QuadratureFailure
 from .geometry import (
@@ -110,9 +110,7 @@ def entropy_rate_metric(metric: MetricField, traj: ParamTrajectory, xi: float) -
     return metric.g(th) * traj.thetadot_of_xi(xi) ** 2
 
 
-def entropy_rate_score(
-    path: ProbabilityPath, traj: ParamTrajectory, xi: float, h: Optional[float] = None
-) -> float:
+def entropy_rate_score(path: ProbabilityPath, traj: ParamTrajectory, xi: float) -> float:
     """Entropy production rate from the score function:
 
         sum_x p_x(theta) * (d log p_x / dxi)^2,
@@ -124,7 +122,7 @@ def entropy_rate_score(
     thd = traj.thetadot_of_xi(xi)
     if thd == 0.0:
         return 0.0
-    return fisher_numeric(path, th, h) * thd * thd
+    return fisher_numeric(path, th) * thd * thd
 
 
 def igc(
@@ -133,8 +131,10 @@ def igc(
     """Information geometric complexity C(tau) and its rate dC/dtau.
 
     C(tau) = (1/tau) int_0^tau L(tau') dtau' with
-    L(tau') = int_{tau0}^{tau0+tau'} sqrt(g(theta)) theta' dxi along the
-    geodesic.  The rate follows from the Leibniz rule,
+    L(tau') = int_{tau0}^{tau0+tau'} v dxi and v = sqrt(g(theta)) theta'
+    along the geodesic.  Cauchy's formula for repeated integration turns
+    the nested integral into one, int_0^tau L = int_{tau0}^{tau0+tau}
+    (tau0 + tau - xi) v(xi) dxi.  The rate follows from the Leibniz rule,
     dC/dtau = (L(tau) - C(tau)) / tau.
     """
     if tau <= 0:
@@ -148,11 +148,9 @@ def igc(
     def speed(xi: float) -> float:
         return math.sqrt(metric.g(geodesic.theta(xi))) * geodesic.thetadot(xi)
 
-    def explored_length(tp: float) -> float:
-        return _quad(speed, tau0, tau0 + tp)
-
-    avg = _quad(explored_length, 0.0, tau) / tau
-    rate = (explored_length(tau) - avg) / tau
+    end = tau0 + tau
+    avg = _quad(lambda xi: (end - xi) * speed(xi), tau0, end) / tau
+    rate = (_quad(speed, tau0, end) - avg) / tau
     return avg, rate
 
 

@@ -17,7 +17,7 @@ in u = lam * theta (lam := 1 for the constant kind).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -142,17 +142,16 @@ class DrivingScheme:
     """A transverse-field profile with intensity scale ``gamma``.
 
     ``lam`` (inverse-time units) shapes the decay/oscillation and is
-    required for every kind except CONSTANT.  When
-    ``resonance_max_constraint`` is set, gamma is tied to lam through
-    gamma = (pi/2) * hbar * lam, which is what lets the success
-    probability reach one; omit ``gamma`` to have it derived.
+    required for every kind except CONSTANT, and for CONSTANT when
+    ``gamma`` is omitted.  An omitted ``gamma`` is the
+    resonant gamma = (pi/2) * hbar * lam, which lets the success
+    probability reach one; a given ``gamma`` is used as is.
     """
 
     kind: SchemeKind
     gamma: Optional[float] = None
     lam: Optional[float] = None
     hbar: float = 1.0
-    resonance_max_constraint: bool = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         kind = SchemeKind(self.kind)
@@ -160,34 +159,18 @@ class DrivingScheme:
         # "not x > 0" also rejects NaN, for which every comparison is false
         if not (self.hbar > 0 and math.isfinite(self.hbar)):
             raise ValueError("hbar must be positive and finite")
-        if kind is not SchemeKind.CONSTANT:
+        if kind is not SchemeKind.CONSTANT or self.gamma is None:
             if self.lam is None or not (self.lam > 0 and math.isfinite(self.lam)):
                 raise ValueError(f"{kind.value} scheme requires finite lam > 0")
-        constraint = self.resonance_max_constraint
-        if constraint is None:
-            # Default on for the lam-shaped profiles when gamma is not
-            # pinned by the caller; the constant profile has no lam.
-            constraint = kind is not SchemeKind.CONSTANT and self.gamma is None
-        object.__setattr__(self, "resonance_max_constraint", constraint)
-        if constraint:
-            if kind is SchemeKind.CONSTANT:
-                raise ValueError("resonance constraint needs a lam-shaped profile")
-            gamma_res = resonant_gamma(self.lam, self.hbar)
-            if self.gamma is None:
-                object.__setattr__(self, "gamma", gamma_res)
-            elif abs(self.gamma - gamma_res) > 1e-12 * self.gamma:
-                raise ValueError(
-                    "gamma violates the resonance-maximum constraint "
-                    "gamma = (pi/2) * hbar * lam; pass "
-                    "resonance_max_constraint=False to opt out"
-                )
-        if self.gamma is None or not (self.gamma > 0 and math.isfinite(self.gamma)):
+        if self.gamma is None:
+            object.__setattr__(self, "gamma", resonant_gamma(self.lam, self.hbar))
+        if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise ValueError("gamma must be positive and finite")
 
     @classmethod
     def resonant(cls, kind, lam: float, hbar: float = 1.0) -> "DrivingScheme":
-        """Scheme with gamma pinned to (pi/2) * hbar * lam."""
-        return cls(kind=kind, lam=lam, hbar=hbar, resonance_max_constraint=True)
+        """Scheme with gamma = (pi/2) * hbar * lam."""
+        return cls(kind=kind, lam=lam, hbar=hbar)
 
     @property
     def u_scale(self) -> float:
@@ -229,13 +212,7 @@ def integrated_phase(scheme: DrivingScheme, theta: float) -> float:
 
 def standard_schemes(lam: float = 0.5, hbar: float = 1.0) -> list[DrivingScheme]:
     """The four schemes at shared gamma = (pi/2) * hbar * lam."""
-    gamma = resonant_gamma(lam, hbar)
-    return [
-        DrivingScheme(kind=kind, gamma=gamma, hbar=hbar)
-        if kind is SchemeKind.CONSTANT
-        else DrivingScheme.resonant(kind, lam=lam, hbar=hbar)
-        for kind in SchemeKind
-    ]
+    return [DrivingScheme.resonant(kind, lam=lam, hbar=hbar) for kind in SchemeKind]
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,10 @@
 entropy-rate decomposition.
 
 Levels sit at -eps (lower) and +eps (upper), gap 2*eps.  Entropy is
-reported per element in units of k_B, so the maximum is log 2 at U = 0;
-the U > 0 branch has negative temperature (inverted populations).  Along
-a driving trajectory beta(xi) the entropy production rate factorizes as
+dimensionless per element (Boltzmann's constant is 1), so the maximum is
+log 2 at U = 0; the U > 0 branch has negative temperature (inverted
+populations).  Along a driving trajectory beta(xi) the entropy production
+rate factorizes as
 
     r = deltaE^2(beta) * (dbeta/dxi)^2,
 
@@ -36,15 +37,12 @@ class TwoLevelEnsemble:
 
     epsilon: float
     n_elements: int = 1
-    k_B: float = 1.0
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
         if self.n_elements < 1:
             raise ValueError("n_elements must be >= 1")
-        if self.k_B <= 0:
-            raise ValueError("k_B must be positive")
 
     @property
     def u_max(self) -> float:
@@ -56,7 +54,7 @@ def _xlogx(x: float) -> float:
 
 
 def entropy_of_energy(ens: TwoLevelEnsemble, U: float) -> float:
-    """Entropy per element, sigma(U) = -(p1 log p1 + p2 log p2), in k_B.
+    """Dimensionless entropy per element, sigma(U) = -(p1 log p1 + p2 log p2).
 
     p2 = (U + N*eps) / (2*N*eps) is the upper-level occupation implied
     by the average energy U.  x*log(x) extends continuously to 0.
@@ -66,7 +64,7 @@ def entropy_of_energy(ens: TwoLevelEnsemble, U: float) -> float:
         raise DomainError(f"U={U} outside [-{umax}, {umax}]")
     p2 = (U + umax) / (2.0 * umax)
     p1 = 1.0 - p2
-    return -ens.k_B * (_xlogx(p1) + _xlogx(p2))
+    return -(_xlogx(p1) + _xlogx(p2))
 
 
 def temperature_sign(ens: TwoLevelEnsemble, U: float) -> TemperatureSign:

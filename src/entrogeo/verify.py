@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import quad
 
-from . import efficiency, pathmetrics, thermo
+from . import efficiency, thermo
 from .geometry import (
     GeodesicFormulation,
     fisher_closed_form,

@@ -88,8 +88,7 @@ def test_11_efficiency_monotonicity():
 
     eta_sym(r_min, v^2) non-increasing in v is `efficiency-monotonicity`.
     """
-    scheme = DrivingScheme(kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=0.5, hbar=1.0,
-                           resonance_max_constraint=False)
+    scheme = DrivingScheme(kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=0.5, hbar=1.0)
     metric = fisher_closed_form(scheme)
     for thd0 in (0.05, 0.1, 0.2):
         geo = geodesic_closed_form(scheme, 0.0, 1.0, thd0)

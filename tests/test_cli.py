@@ -1,18 +1,24 @@
 """CLI contract: exit codes, output format, determinism."""
 import ast
+import io
 import itertools
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from entrogeo import DrivingScheme, SchemeKind, __version__, cli, eta_sym, verify
+from entrogeo import DrivingScheme, SchemeKind, __version__, cli, efficiency, eta_sym, verify
 from entrogeo.efficiency import entropy_rate_of_scheme, region_boundary_scale
 
 ENTROGEO = [sys.executable, "-m", "entrogeo.cli"]
@@ -111,11 +117,23 @@ class TestExitCodes:
         ["geodesic", "--scheme", "power_law", "--lambda", "1e300"],
         ["geodesic", "--scheme", "constant", "--thetadot0", "1e308", "--xi-end", "2",
          "--samples", "3"],
+        ["metrics", "--scheme", "power_law", "--lambda", "1e-300", "--thetadot0", "1e-30"],
+        ["geodesic", "--scheme", "exponential", "--lambda", "1e-300", "--thetadot0", "1e-30"],
+        ["crossover", "--bracket", "-1", "5"],
+        ["geodesic", "--scheme", "power_law", "--lambda", "1e308", "--samples", "3"],
+        ["geodesic", "--scheme", "constant", "--thetadot0", "1e300", "--xi-end", "1e300",
+         "--samples", "3"],
     ], ids=["metrics-exponential", "metrics-constant-gamma", "metrics-power_law",
-            "table1", "geodesic-power_law", "geodesic-divergence-state"])
+            "table1", "geodesic-power_law", "geodesic-divergence-state",
+            "metrics-validity-end-underflow", "geodesic-validity-end-underflow",
+            "crossover-power-law-pole", "geodesic-nan-metric", "geodesic-theta-overflow"])
     def test_derived_overflow_is_usage_error(self, argv):
-        # finite argv whose derived quantities overflow a float; this used
-        # to end in an OverflowError traceback with exit 1
+        # finite argv whose derived quantities leave the float range: an
+        # overflow, an underflowed divisor (lam * thetadot0 = 0 in the
+        # validity end) or a pole ((1 + u)^-4 at u = -1); these used to
+        # end in a traceback with exit 1.  Two geodesics never returned:
+        # at lam = 1e308, g0 = inf times an underflowed m(u) = 0 is a NaN
+        # metric; past an overflowed theta the solver kept stepping
         res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
         assert res.returncode == 2, res.stdout + res.stderr
         assert res.stderr.startswith("error: a derived quantity left the float range")
@@ -126,8 +144,10 @@ class TestExitCodes:
         ["figure1", "--tau-start=-1.7e308", "--tau-stop", "1.7e308"],
         ["figure1", "--lambda-start=-1", "--lambda-count", "5", "--tau-count", "5"],
         ["metrics", "--scheme", "constant", "--thetadot0", "1e150", "--tau", "1e200"],
+        ["geodesic", "--scheme", "constant", "--thetadot0", "20", "--xi-end", "1e308",
+         "--samples", "3"],
     ], ids=["figure2-rate-overflow", "figure1-tau-grid-overflow", "figure1-power-law-pole",
-            "metrics-json-infinity"])
+            "metrics-json-infinity", "geodesic-theta-overflow"])
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
     def test_nonfinite_result_is_usage_error(self, argv, to_file, tmp_path):
         # finite argv whose results are not: these used to exit 0 writing
@@ -261,6 +281,26 @@ def _main_outcome(argv, capsys):
         rc = exc.code
     out, err = capsys.readouterr()
     return rc, out, err
+
+
+class TestCrossoverBracket:
+    # a bracket of width 1e50 needs ~200 halvings; scipy's default cap of
+    # 100 iterations ended these in a RuntimeError traceback with exit 1
+    @pytest.mark.parametrize("argv,lam_star", [
+        (["crossover", "--bracket", "1", "1e50"], 2.5128624172523395),
+        (["crossover", "--scheme-a=constant", "--scheme-b=exponential",
+          "--bracket", "-1", "1e300"], 0.0),
+    ], ids=["wide", "root-at-zero"])
+    def test_wide_bracket_converges(self, argv, lam_star, capsys):
+        rc, out, err = _main_outcome(argv, capsys)
+        assert (rc, err) == (0, "")
+        assert abs(json.loads(out)["lambda_star"] - lam_star) <= 1e-9
+
+    def test_unconverged_root_is_numerical_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(efficiency, "_BRENT_MAXITER", 5)
+        rc, out, err = _main_outcome(["crossover", "--bracket", "1", "1e50"], capsys)
+        assert rc == 3 and out == ""
+        assert err.startswith("numerical failure: no crossover within 5 iterations"), err
 
 
 class TestNegativeExponentFloats:
@@ -482,3 +522,48 @@ class TestDeterminismAndThreads:
         res = run("--version")
         assert res.returncode == 0
         assert __version__ in res.stdout
+
+
+# floats at and past every edge of the domain: non-finite, signed zero,
+# subnormal, tiny, ordinary, resonant and huge
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, 1e-300, 1e-30,
+               1e-8, 0.5, 0.5 * math.pi, 3.0, 20.0, 1e300, 1e308]
+KINDS = [k.value for k in SchemeKind]
+
+
+@st.composite
+def fuzz_argv(draw):
+    # argparse keeps the last value of a repeated option, so the drawn
+    # ones override the base argv's
+    base, floats = draw(st.sampled_from(sorted(_FLOAT_OPTIONS.items())))
+    values = draw(st.dictionaries(st.sampled_from(floats), st.sampled_from(EDGE_FLOATS)))
+    argv = [*base, *(f"{name}={x!r}" for name, x in values.items())]
+    if "--scheme" in base:
+        argv.append(f"--scheme={draw(st.sampled_from(KINDS))}")
+    if base[0] == "crossover":
+        argv += [f"--scheme-a={draw(st.sampled_from(KINDS))}",
+                 f"--scheme-b={draw(st.sampled_from(KINDS))}"]
+        if draw(st.booleans()):
+            argv += ["--bracket", *(repr(draw(st.sampled_from(EDGE_FLOATS))) for _ in "ab")]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=fuzz_argv())
+def test_every_argv_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            assert exc.code == 2, argv
+            return
+    assert rc in (0, 2, 3), (argv, rc, err.getvalue())
+    lines = err.getvalue().splitlines()
+    if rc == 0:
+        assert lines == [], (argv, lines)
+    else:
+        assert len(lines) == 1 and lines[0].startswith(("error:", "numerical failure:")), (
+            argv, lines)
+    assert not re.search(r"(?i)\bnan\b|\binf", out.getvalue()), argv

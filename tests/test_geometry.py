@@ -23,8 +23,6 @@ IC = dict(xi0=0.0, theta0=1.0, thetadot0=0.1)
 
 
 def scheme_of(kind, lam=0.5):
-    if kind is SchemeKind.CONSTANT:
-        return DrivingScheme(kind=kind, gamma=0.25 * math.pi)
     return DrivingScheme.resonant(kind, lam=lam)
 
 
@@ -57,9 +55,10 @@ class TestFisher:
             fisher_numeric(path, 0.5 * math.pi)  # p_wperp = 0 exactly
 
     def test_numeric_rejects_step_past_zero(self):
-        s = DrivingScheme(kind=SchemeKind.CONSTANT, gamma=1.0)
-        with pytest.raises(DomainError):
-            fisher_numeric(probability_path(s), 0.5, h=0.6)
+        # p = (0.23, 0.77) at f = gamma * theta = 0.5, but theta < h = 1e-6
+        s = DrivingScheme(kind=SchemeKind.CONSTANT, gamma=1e6)
+        with pytest.raises(DomainError, match="too close to 0 for step h=1e-06"):
+            fisher_numeric(probability_path(s), 5e-7)
 
 
 class TestClosedFormGeodesics:

@@ -7,6 +7,7 @@ from entrogeo import (
     DegenerateDistribution,
     DomainError,
     DrivingScheme,
+    MetricField,
     OutOfValidity,
     ParamTrajectory,
     SchemeKind,
@@ -36,8 +37,6 @@ def igc_rate_fd(metric, geodesic, tau, tau0=0.0):
 
 
 def scheme_of(kind, lam=0.5):
-    if kind is SchemeKind.CONSTANT:
-        return DrivingScheme(kind=kind, gamma=0.25 * math.pi)
     return DrivingScheme.resonant(kind, lam=lam)
 
 
@@ -73,6 +72,21 @@ class TestGeodesicMetrics:
         _, rate = igc(metric, geo, 1.0)
         fd = igc_rate_fd(metric, geo, 1.0)
         assert rate == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_igc_is_one_level_of_quadrature(self, kind):
+        # a nested quadrature, L(tau') integrated over tau', took 462 g calls
+        scheme = scheme_of(kind)
+        metric = fisher_closed_form(scheme)
+        calls = []
+
+        def g(th):
+            calls.append(th)
+            return metric.g(th)
+
+        counting = MetricField(g=g, dg_dtheta=metric.dg_dtheta, source=metric.source)
+        igc(counting, geodesic_closed_form(scheme, 0.0, 1.0, 0.1), 1.0)
+        assert 0 < len(calls) < 100
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_asymptotic_slope(self, kind):
@@ -179,14 +193,9 @@ CROSS_POINTS = [
 
 
 def cross_scheme(kind, lam, gamma, hbar):
-    if kind is SchemeKind.CONSTANT:
-        return DrivingScheme(
-            kind=kind, gamma=0.5 * math.pi * hbar * lam if gamma is None else gamma,
-            hbar=hbar)
     if gamma is None:
         return DrivingScheme.resonant(kind, lam=lam, hbar=hbar)
-    return DrivingScheme(kind=kind, gamma=gamma, lam=lam, hbar=hbar,
-                         resonance_max_constraint=False)
+    return DrivingScheme(kind=kind, gamma=gamma, lam=lam, hbar=hbar)
 
 
 @pytest.mark.parametrize("point", CROSS_POINTS, ids=lambda p: f"lam{p[0]}-tau0{p[7]}")

@@ -15,6 +15,7 @@ from entrogeo import (
     probability_path,
     transition_probability,
 )
+from entrogeo.schemes import resonant_gamma
 
 LAM_KINDS = [SchemeKind.OSCILLATING, SchemeKind.POWER_LAW, SchemeKind.EXPONENTIAL]
 
@@ -22,32 +23,25 @@ LAM_KINDS = [SchemeKind.OSCILLATING, SchemeKind.POWER_LAW, SchemeKind.EXPONENTIA
 class TestConstruction:
     def test_resonant_gamma_derived(self):
         s = DrivingScheme(kind=SchemeKind.EXPONENTIAL, lam=0.5)
-        assert s.resonance_max_constraint
         assert s.gamma == pytest.approx(0.25 * math.pi, abs=0.0)
 
     def test_resonant_classmethod(self):
         s = DrivingScheme.resonant(SchemeKind.POWER_LAW, lam=2.0, hbar=3.0)
         assert s.gamma == pytest.approx(3.0 * math.pi, rel=1e-15)
 
-    def test_inconsistent_gamma_rejected(self):
-        with pytest.raises(ValueError, match="resonance"):
-            DrivingScheme(
-                kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=0.5,
-                resonance_max_constraint=True,
-            )
-
     def test_explicit_gamma_opts_out(self):
-        s = DrivingScheme(
-            kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=0.5,
-            resonance_max_constraint=False,
-        )
-        assert s.gamma == 1.0 and not s.resonance_max_constraint
+        s = DrivingScheme(kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=0.5)
+        assert s.gamma == 1.0
 
-    def test_constant_rejects_constraint(self):
-        with pytest.raises(ValueError):
-            DrivingScheme(
-                kind=SchemeKind.CONSTANT, gamma=1.0, resonance_max_constraint=True
-            )
+    @pytest.mark.parametrize("lam,hbar", [(0.5, 1.0), (0.7, 1.0), (2.0, 3.0), (1e-8, 0.3)])
+    def test_resonant_constant_kind(self, lam, hbar):
+        # the constant kind takes the same resonant gamma as the lam-shaped ones
+        s = DrivingScheme.resonant(SchemeKind.CONSTANT, lam, hbar)
+        assert s.gamma == resonant_gamma(lam, hbar)
+
+    def test_constant_without_gamma_needs_lam(self):
+        with pytest.raises(ValueError, match="lam"):
+            DrivingScheme(kind=SchemeKind.CONSTANT)
 
     @pytest.mark.parametrize("kind", LAM_KINDS)
     def test_lam_required(self, kind):
@@ -63,8 +57,7 @@ class TestConstruction:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("param", ["gamma", "lam", "hbar"])
     def test_nonfinite_parameters_rejected(self, param, bad):
-        kw = dict(kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=0.5, hbar=1.0,
-                  resonance_max_constraint=False)
+        kw = dict(kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=0.5, hbar=1.0)
         kw[param] = bad
         with pytest.raises(ValueError, match=param):
             DrivingScheme(**kw)
@@ -111,8 +104,7 @@ class TestPhase:
         if kind is SchemeKind.CONSTANT:
             s = DrivingScheme(kind=kind, gamma=1.0)
         else:
-            s = DrivingScheme(kind=kind, gamma=1.0, lam=0.5,
-                              resonance_max_constraint=False)
+            s = DrivingScheme(kind=kind, gamma=1.0, lam=0.5)
         assert integrated_phase(s, 1.0) == pytest.approx(expected, rel=1e-15)
 
     def test_field_intensity_at_zero_is_gamma(self):
@@ -122,8 +114,7 @@ class TestPhase:
 
     @given(theta=st.floats(0.0, 3.0))
     def test_probabilities_normalized(self, theta):
-        s = DrivingScheme(kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=0.5,
-                          resonance_max_constraint=False)
+        s = DrivingScheme(kind=SchemeKind.EXPONENTIAL, gamma=1.0, lam=0.5)
         pw, pp = probability_path(s).probabilities(theta)
         assert pw + pp == pytest.approx(1.0, abs=1e-14)
         assert 0.0 <= pw <= 1.0

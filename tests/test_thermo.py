@@ -46,10 +46,6 @@ class TestEntropyCurve:
             entropy_of_energy(ENS, -u), abs=1e-14
         )
 
-    def test_k_b_scaling(self):
-        ens = TwoLevelEnsemble(epsilon=1.0, k_B=2.5)
-        assert entropy_of_energy(ens, 0.0) == pytest.approx(2.5 * math.log(2.0))
-
 
 class TestTemperature:
     def test_signs(self):
@@ -127,5 +123,3 @@ class TestConstruction:
             TwoLevelEnsemble(epsilon=0.0)
         with pytest.raises(ValueError):
             TwoLevelEnsemble(epsilon=1.0, n_elements=0)
-        with pytest.raises(ValueError):
-            TwoLevelEnsemble(epsilon=1.0, k_B=-1.0)
