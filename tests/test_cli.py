@@ -56,6 +56,23 @@ class TestExitCodes:
         res = run("figure1", "--lambda-start", "3", "--lambda-stop", "1")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("argv,message", [
+        (["figure1", "--lambda-start", "3", "--lambda-stop", "1"],
+         "lambda range needs count >= 2 and stop > start"),
+        (["figure1", "--tau-start", "3", "--tau-stop", "1"],
+         "tau range needs count >= 2 and stop > start"),
+        (["figure1", "--lambda-count", "5", "--tau-count", "6"],
+         "lambda and tau grids must have equal counts"),
+        (["figure2", "--grid-count", "1"], "grid-count must be >= 2"),
+        (["figure2", "--lambda-count", "1"], "lambda range needs count >= 2 and stop > start"),
+        (["geodesic", "--scheme", "exponential"], "--lambda > 0 required for this scheme"),
+        (["metrics", "--scheme", "power_law", "--lambda", "0"],
+         "--lambda > 0 required for this scheme"),
+    ], ids=["lambda-range", "tau-range", "grid-counts", "grid-count", "figure2-lambda-range",
+            "geodesic-lambda", "metrics-lambda"])
+    def test_argument_rule_message(self, argv, message, capsys):
+        assert _main_outcome(argv, capsys) == (2, "", f"error: {message}\n")
+
     def test_geodesic_past_validity_is_usage_error(self):
         # exponential with lam=0.5, thetadot0=0.1 is valid up to xi = 20
         res = run(
