@@ -56,7 +56,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _config_hash(cfg: dict) -> str:
+def _config_hash(args) -> str:
+    """Hash of the run configuration: every argument except the handler and
+    the output destination, so identical configs hash identically no
+    matter where the file lands."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("func", "output")}
     payload = json.dumps(cfg, sort_keys=True, default=str).encode()
     return hashlib.sha256(payload).hexdigest()[:12]
 
@@ -87,13 +91,13 @@ def _emit(text: str, output: Optional[str]) -> None:
 
 def _csv(
     command: str,
-    cfg: dict,
+    args,
     comments: Sequence[str],
     header: Sequence[str],
     blocks: Iterable[str],
 ) -> str:
     """The stamped CSV text; each of ``blocks`` is one or more whole lines."""
-    head = [f"# entrogeo v{__version__} {command} {_config_hash(cfg)}"]
+    head = [f"# entrogeo v{__version__} {command} {_config_hash(args)}"]
     head += [f"# {c}" for c in comments]
     head.append(",".join(header))
     return "\n".join([*head, *blocks]) + "\n"
@@ -124,11 +128,11 @@ def _format_rows(*columns: np.ndarray) -> list[str]:
     ]
 
 
-def _json_text(command: str, cfg: dict, payload: dict) -> str:
+def _json_text(command: str, args, payload: dict) -> str:
     doc = {
         "tool": f"entrogeo v{__version__}",
         "command": command,
-        "config_hash": _config_hash(cfg),
+        "config_hash": _config_hash(args),
         **payload,
     }
     try:
@@ -137,21 +141,13 @@ def _json_text(command: str, cfg: dict, payload: dict) -> str:
         raise OverflowError(f"{command} result is not finite") from exc
 
 
-def _cfg(args) -> dict:
-    """Run configuration for hashing: everything except the handler and
-    the output destination, so identical configs hash identically no
-    matter where the file lands."""
-    cfg = vars(args).copy()
-    cfg.pop("func", None)
-    cfg.pop("output", None)
-    return cfg
-
-
 def _build_scheme(args) -> DrivingScheme:
     kind = SchemeKind(args.scheme)
     if kind is SchemeKind.CONSTANT:
         gamma = 1.0 if args.gamma is None else args.gamma
         return DrivingScheme(kind=kind, gamma=gamma, hbar=args.hbar)
+    if args.lam is None or args.lam <= 0:
+        raise DomainError("--lambda > 0 required for this scheme")
     return DrivingScheme(kind=kind, gamma=args.gamma, lam=args.lam, hbar=args.hbar)
 
 
@@ -159,14 +155,11 @@ def _build_scheme(args) -> DrivingScheme:
 
 def cmd_metrics(args) -> int:
     scheme = _build_scheme(args)
-    if args.theta0 <= 0 or args.thetadot0 <= 0 or args.tau <= 0:
-        raise DomainError("theta0, thetadot0, and tau must be positive")
     rep = pathmetrics.report(
         scheme, args.theta0, args.thetadot0, args.tau, xi0=args.xi0, tau0=args.tau0
     )
     v_E, r_E = pathmetrics.launch_speed_and_rate(scheme, args.theta0, args.thetadot0)
     slope = pathmetrics.igc_asymptotic_slope(scheme, args.theta0, args.thetadot0)
-    cfg = _cfg(args)
     payload = {
         "scheme": scheme.kind.value,
         "gamma": scheme.gamma,
@@ -183,7 +176,7 @@ def cmd_metrics(args) -> int:
         },
         "closed_form": {"v_E": v_E, "r_E": r_E, "igc_rate": slope},
     }
-    _emit(_json_text("metrics", cfg, payload), args.output)
+    _emit(_json_text("metrics", args, payload), args.output)
     return EXIT_OK
 
 
@@ -191,19 +184,15 @@ def cmd_geodesic(args) -> int:
     scheme = _build_scheme(args)
     metric = fisher_closed_form(scheme)
     geo = geodesic_closed_form(scheme, args.xi0, args.theta0, args.thetadot0)
-    num_c = geodesic_numeric(
-        metric, args.xi0, args.theta0, args.thetadot0, args.xi_end,
-        GeodesicFormulation.CHRISTOFFEL, geo.validity_end, n_samples=args.samples,
-    )
-    num_d = geodesic_numeric(
-        metric, args.xi0, args.theta0, args.thetadot0, args.xi_end,
-        GeodesicFormulation.DIVERGENCE, geo.validity_end, n_samples=args.samples,
+    num_c, num_d = (
+        geodesic_numeric(metric, args.xi0, args.theta0, args.thetadot0, args.xi_end,
+                         form, geo.validity_end, n_samples=args.samples)
+        for form in GeodesicFormulation
     )
     theta_cf = np.asarray(geo.theta(num_c.xi))
     thetadot_cf = np.asarray(geo.thetadot(num_c.xi))
-    cfg = _cfg(args)
     text = _csv(
-        "geodesic", cfg,
+        "geodesic", args,
         comments=[
             "theta_closed: closed-form geodesic theta(xi)",
             "theta_christoffel: second-order form theta'' + (g'/2g) theta'^2 = 0",
@@ -218,6 +207,8 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_figure1(args) -> int:
+    _check_range(args, "lambda")
+    _check_range(args, "tau")
     if args.lambda_count != args.tau_count:
         raise DomainError("lambda and tau grids must have equal counts")
     theta0 = args.theta0
@@ -233,9 +224,8 @@ def cmd_figure1(args) -> int:
         # panel (c): rescaled complexity vs tau at fixed lambda
         u_c = np.float64(args.lambda_c) * theta0
         ctilde = {k: float(shape_factor(k, u_c)) * tau for k in kinds}
-    cfg = _cfg(args)
     text = _csv(
-        "figure1", cfg,
+        "figure1", args,
         comments=[
             "rtilde_<scheme>: rescaled entropy production rate, "
             "r_E = (2 gamma/hbar)^2 thetadot0^2 * rtilde",
@@ -261,6 +251,9 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_figure2(args) -> int:
+    _check_range(args, "lambda")
+    if args.grid_count < 2:
+        raise DomainError("grid-count must be >= 2")
     # an overflow, in the grid too, is caught by the finite check in _format_rows
     with np.errstate(all="ignore"):
         lam = np.linspace(args.lambda_start, args.lambda_stop, args.lambda_count)
@@ -272,9 +265,8 @@ def cmd_figure2(args) -> int:
         # at shared gamma, C and sqrt(r) scale with the shape w(u)
         ratio_igc = shape_factor(exp_kind, u) / shape_factor(pow_kind, u)
         ratio_rate = ratio_igc**2
-    cfg = _cfg(args)
     text = _csv(
-        "figure2", cfg,
+        "figure2", args,
         comments=[
             "re_*: entropy production rate (pi lambda thetadot0)^2 * shape^2 "
             "with gamma = (pi/2) hbar lambda",
@@ -305,7 +297,7 @@ def cmd_figure2(args) -> int:
         prefix = f"{_fmt(th_v)},"
         blocks.append(prefix + f"\n{prefix}".join(map(tuple.__getitem__, lam_cells, row.tolist())))
     region_text = _csv(
-        "figure2-region", cfg,
+        "figure2-region", args,
         comments=[
             "exp_cooler: 1 when lambda*theta0 >= u_star with (1+u_star)^2 = exp(u_star)",
             f"u_star = {_fmt(u_star)}",
@@ -314,11 +306,8 @@ def cmd_figure2(args) -> int:
         blocks=blocks,
     )
     _emit(text, args.output)
-    if args.output:
-        stem, ext = os.path.splitext(args.output)
-        _atomic_write(f"{stem}_region{ext or '.csv'}", region_text)
-    else:
-        sys.stdout.write(region_text)
+    stem, ext = os.path.splitext(args.output or "")
+    _emit(region_text, args.output and f"{stem}_region{ext or '.csv'}")
     return EXIT_OK
 
 
@@ -335,7 +324,6 @@ def cmd_table1(args) -> int:
         s.kind.value: efficiency.igc_slope_of_scheme(s, args.theta0, args.thetadot0)
         for s in schemes
     }
-    cfg = _cfg(args)
     payload = {
         "lambda": args.lam,
         "theta0": args.theta0,
@@ -356,7 +344,7 @@ def cmd_table1(args) -> int:
         "expected_order": list(expected),
         "has_ties": ranking.has_ties,
     }
-    _emit(_json_text("table1", cfg, payload), args.output)
+    _emit(_json_text("table1", args, payload), args.output)
     return EXIT_OK
 
 
@@ -366,14 +354,13 @@ def cmd_crossover(args) -> int:
         args.theta0, (args.bracket[0], args.bracket[1]),
     )
     u_star = efficiency.region_boundary_scale()
-    cfg = _cfg(args)
     payload = {
         "lambda_star": lam_star,
         "theta0": args.theta0,
         "u_star": u_star,
         "boundary_residual": efficiency.region_boundary_residual(u_star),
     }
-    _emit(_json_text("crossover", cfg, payload), args.output)
+    _emit(_json_text("crossover", args, payload), args.output)
     return EXIT_OK
 
 
@@ -554,16 +541,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         _check_finite(args)
-        if args.command == "figure1":
-            _check_range(args, "lambda")
-            _check_range(args, "tau")
-        elif args.command == "figure2":
-            _check_range(args, "lambda")
-            if args.grid_count < 2:
-                raise DomainError("grid-count must be >= 2")
-        if getattr(args, "scheme", None) not in (None, SchemeKind.CONSTANT.value):
-            if args.lam is None or args.lam <= 0:
-                raise DomainError("--lambda > 0 required for this scheme")
         return args.func(args)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

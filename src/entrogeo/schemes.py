@@ -239,12 +239,10 @@ def probability_path(scheme: DrivingScheme) -> ProbabilityPath:
 
 @dataclass(frozen=True)
 class AmplitudePair:
-    """Unitary propagator amplitudes (alpha, beta) for detuning parameter b."""
+    """Unitary propagator amplitudes (alpha, beta); see ``amplitudes``."""
 
     alpha: complex
     beta: complex
-    b: float
-    phi_omega: float
 
     def unitarity_defect(self) -> float:
         return abs(abs(self.alpha) ** 2 + abs(self.beta) ** 2 - 1.0)
@@ -264,7 +262,7 @@ def amplitudes(b: float, phase_Phi: float, phi_omega: float) -> AmplitudePair:
     beta_mod = math.sin(phase_Phi) / root
     beta_arg = half - 0.5 * math.pi
     beta = beta_mod * complex(math.cos(beta_arg), math.sin(beta_arg))
-    return AmplitudePair(alpha=alpha, beta=beta, b=b, phi_omega=phi_omega)
+    return AmplitudePair(alpha=alpha, beta=beta)
 
 
 def transition_probability(alpha_beta: AmplitudePair, x: float) -> float:

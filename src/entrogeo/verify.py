@@ -147,10 +147,16 @@ def check_fisher_numeric():
 _IC = dict(theta0=1.0, thetadot0=0.1, xi0=0.0)
 
 
-def check_geodesic_residual():
+def _launched():
+    """(scheme, metric, geodesic, tau) of each standard scheme's geodesic
+    launched at ``_IC``; tau is a window well inside its validity."""
     for scheme in standard_schemes():
-        metric = fisher_closed_form(scheme)
         geo = geodesic_closed_form(scheme, **_IC)
+        yield scheme, fisher_closed_form(scheme), geo, min(1.0, 0.4 * (geo.validity_end - geo.xi0))
+
+
+def check_geodesic_residual():
+    for scheme, metric, geo, _ in _launched():
         end = min(geo.validity_end, geo.xi0 + 10.0)
         for xi in np.linspace(geo.xi0 + 0.01, geo.xi0 + 0.9 * (end - geo.xi0), 50):
             res = geodesic_residual(metric, geo, xi)
@@ -158,9 +164,7 @@ def check_geodesic_residual():
 
 
 def check_geodesic_oracle():
-    for scheme in standard_schemes():
-        metric = fisher_closed_form(scheme)
-        geo = geodesic_closed_form(scheme, **_IC)
+    for scheme, metric, geo, _ in _launched():
         for form in GeodesicFormulation:
             num = geodesic_numeric(
                 metric, geo.xi0, geo.theta0, geo.thetadot0, 1.0,
@@ -186,9 +190,7 @@ def check_formulation_agreement():
 
 
 def check_speed_constancy():
-    for scheme in standard_schemes():
-        metric = fisher_closed_form(scheme)
-        geo = geodesic_closed_form(scheme, **_IC)
+    for scheme, metric, geo, _ in _launched():
         end = min(geo.validity_end * 0.5, 2.0)
         num = geodesic_numeric(metric, geo.xi0, geo.theta0, geo.thetadot0, end,
                                validity_end=geo.validity_end)
@@ -198,8 +200,7 @@ def check_speed_constancy():
 
 def check_affine_invariance():
     a, b = 2.0, 3.0
-    for scheme in standard_schemes():
-        geo = geodesic_closed_form(scheme, **_IC)
+    for scheme, _, geo, _ in _launched():
         rescaled = geodesic_closed_form(
             scheme, a * geo.xi0 + b, geo.theta0, geo.thetadot0 / a
         )
@@ -220,10 +221,7 @@ def _quadratic_reparam(geo, tau: float) -> ParamTrajectory:
 
 def check_cauchy_schwarz():
     rng = np.random.default_rng(_SEED + 8)
-    for scheme in standard_schemes():
-        metric = fisher_closed_form(scheme)
-        geo = geodesic_closed_form(scheme, **_IC)
-        tau = min(1.0, 0.4 * (geo.validity_end - geo.xi0))
+    for scheme, metric, geo, tau in _launched():
         # quadratic reparametrization: strict inequality
         traj = _quadratic_reparam(geo, tau)
         length = thermodynamic_length(metric, traj)
@@ -250,10 +248,7 @@ def check_cauchy_schwarz():
 
 
 def check_geodesic_equality():
-    for scheme in standard_schemes():
-        metric = fisher_closed_form(scheme)
-        geo = geodesic_closed_form(scheme, **_IC)
-        tau = min(1.0, 0.4 * (geo.validity_end - geo.xi0))
+    for _, metric, geo, tau in _launched():
         traj = ParamTrajectory.from_geodesic(geo, (0.0, tau))
         length = thermodynamic_length(metric, traj)
         div = thermodynamic_divergence(metric, traj)
@@ -262,11 +257,8 @@ def check_geodesic_equality():
 
 def check_rate_routes():
     rng = np.random.default_rng(_SEED + 9)
-    for scheme in standard_schemes():
-        metric = fisher_closed_form(scheme)
+    for scheme, metric, geo, tau in _launched():
         path = probability_path(scheme)
-        geo = geodesic_closed_form(scheme, **_IC)
-        tau = min(1.0, 0.4 * (geo.validity_end - geo.xi0))
         traj = ParamTrajectory.from_geodesic(geo, (0.0, tau))
         n = 0
         for xi in rng.uniform(0.0, tau, size=400):
@@ -287,10 +279,7 @@ def check_rate_routes():
 
 
 def check_slope_law():
-    for scheme in standard_schemes():
-        metric = fisher_closed_form(scheme)
-        geo = geodesic_closed_form(scheme, **_IC)
-        tau = min(1.0, 0.4 * (geo.validity_end - geo.xi0))
+    for scheme, metric, geo, tau in _launched():
         _, rate = igc(metric, geo, tau)
         traj = ParamTrajectory.from_geodesic(geo, (0.0, tau))
         v = entropic_speed(metric, traj, 0.0)
