@@ -2,7 +2,8 @@
 emitters, crossover root finding, and the invariant verification suite.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/domain error,
-3 numerical failure.  CSV output is deterministic (17 significant
+3 numerical failure, 4 internal error (an exception no other code
+names: a defect, reported on one stderr line).  CSV output is deterministic (17 significant
 digits, atomic writes) and every run is stamped with a config hash.
 """
 from __future__ import annotations
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERNAL = 4
 
 _DOMAIN_ERRORS = (DomainError, OutOfValidity, NoSignChange, DegenerateDistribution, ValueError)
 _NUMERICAL_ERRORS = (QuadratureFailure, RootFailure, StepFailure, MetricDegenerate)
@@ -555,6 +557,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: a derived quantity left the float range ({exc.args[-1]})",
               file=sys.stderr)
         return EXIT_DOMAIN
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

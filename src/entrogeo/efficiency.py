@@ -156,7 +156,9 @@ def rate_crossover(
     """Value of lam where the two schemes' entropy rates cross at theta0.
 
     Rates are compared at shared gamma, so only the metric factors
-    m(lam * theta0) matter.
+    m(lam * theta0) matter.  A bracket end where lam * theta0 overflows
+    raises OverflowError, and one where both factors underflow to 0
+    raises NoSignChange.
     """
     m_a, m_b = PROFILES[SchemeKind(scheme_a)].m, PROFILES[SchemeKind(scheme_b)].m
 
@@ -164,6 +166,16 @@ def rate_crossover(
         return m_a(math, lam * theta0) - m_b(math, lam * theta0)
 
     a, b = lambda_bracket
+    for lam in lambda_bracket:
+        if not math.isfinite(lam * theta0):
+            raise OverflowError(f"lambda*theta0 = {lam}*{theta0} is not finite")
+    # where both factors underflow to 0, diff is exactly 0 and brentq would
+    # return that end as the root
+    for lam in lambda_bracket:
+        if m_a(math, lam * theta0) == m_b(math, lam * theta0) == 0.0:
+            raise NoSignChange(
+                f"both rates underflow to 0 at lambda={lam}; use a narrower bracket"
+            )
     fa, fb = diff(a), diff(b)
     if fa == 0.0 and fb == 0.0:
         raise NoSignChange("rates are identical on the bracket")

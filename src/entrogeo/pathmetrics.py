@@ -137,9 +137,9 @@ def igc(
     (tau0 + tau - xi) v(xi) dxi.  The rate follows from the Leibniz rule,
     dC/dtau = (L(tau) - C(tau)) / tau.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise DomainError(f"tau={tau} must be positive")
-    if tau0 + tau >= geodesic.validity_end:
+    if not tau0 + tau < geodesic.validity_end:
         raise DomainError(
             f"window [{tau0}, {tau0 + tau}] exceeds geodesic validity "
             f"(ends at {geodesic.validity_end})"

@@ -1,4 +1,5 @@
 """CLI contract: exit codes, output format, determinism."""
+import argparse
 import ast
 import io
 import itertools
@@ -73,6 +74,15 @@ class TestExitCodes:
     def test_argument_rule_message(self, argv, message, capsys):
         assert _main_outcome(argv, capsys) == (2, "", f"error: {message}\n")
 
+    def test_unexpected_exception_is_internal_error(self, monkeypatch, capsys):
+        # an exception no handler names is a defect, not a verification
+        # failure (exit 1): one stderr line, no traceback
+        def broken(*args):
+            raise KeyError("rank")
+
+        monkeypatch.setattr(efficiency, "rank_schemes", broken)
+        assert _main_outcome(["table1"], capsys) == (4, "", "internal error: KeyError: 'rank'\n")
+
     def test_geodesic_past_validity_is_usage_error(self):
         # exponential with lam=0.5, thetadot0=0.1 is valid up to xi = 20
         res = run(
@@ -140,10 +150,14 @@ class TestExitCodes:
         ["geodesic", "--scheme", "power_law", "--lambda", "1e308", "--samples", "3"],
         ["geodesic", "--scheme", "constant", "--thetadot0", "1e300", "--xi-end", "1e300",
          "--samples", "3"],
+        ["crossover", "--scheme-a", "oscillating", "--bracket", "1", "1e308", "--theta0", "20"],
+        ["crossover", "--scheme-a", "power_law", "--scheme-b", "exponential",
+         "--bracket", "1", "1e308", "--theta0", "20"],
     ], ids=["metrics-exponential", "metrics-constant-gamma", "metrics-power_law",
             "table1", "geodesic-power_law", "geodesic-divergence-state",
             "metrics-validity-end-underflow", "geodesic-validity-end-underflow",
-            "crossover-power-law-pole", "geodesic-nan-metric", "geodesic-theta-overflow"])
+            "crossover-power-law-pole", "geodesic-nan-metric", "geodesic-theta-overflow",
+            "crossover-oscillating-u-overflow", "crossover-u-overflow"])
     def test_derived_overflow_is_usage_error(self, argv):
         # finite argv whose derived quantities leave the float range: an
         # overflow, an underflowed divisor (lam * thetadot0 = 0 in the
@@ -305,13 +319,23 @@ class TestCrossoverBracket:
     # 100 iterations ended these in a RuntimeError traceback with exit 1
     @pytest.mark.parametrize("argv,lam_star", [
         (["crossover", "--bracket", "1", "1e50"], 2.5128624172523395),
+        (["crossover", "--bracket", "1", "1e80"], 2.5128624172603082),
         (["crossover", "--scheme-a=constant", "--scheme-b=exponential",
           "--bracket", "-1", "1e300"], 0.0),
-    ], ids=["wide", "root-at-zero"])
+    ], ids=["wide", "power-law-subnormal-end", "root-at-zero"])
     def test_wide_bracket_converges(self, argv, lam_star, capsys):
         rc, out, err = _main_outcome(argv, capsys)
         assert (rc, err) == (0, "")
         assert abs(json.loads(out)["lambda_star"] - lam_star) <= 1e-9
+
+    # both metric factors underflow to 0 at the upper end, where their
+    # difference is exactly 0 and the root finder took that end for the root
+    @pytest.mark.parametrize("bracket", [["1", "1e300"], ["0.5", "1e81"]])
+    def test_underflowed_bracket_end_is_refused(self, bracket, capsys):
+        rc, out, err = _main_outcome(["crossover", "--bracket", *bracket], capsys)
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"error: both rates underflow to 0 at lambda={float(bracket[1])}")
+        assert "narrower bracket" in err
 
     def test_unconverged_root_is_numerical_failure(self, monkeypatch, capsys):
         monkeypatch.setattr(efficiency, "_BRENT_MAXITER", 5)
@@ -504,6 +528,24 @@ class TestColumnsFromLibrary:
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 if node.value.id in ("math", "np", "numpy"):
                     assert node.attr not in banned, (node.lineno, node.attr)
+
+
+    def test_main_reads_no_subcommand_argument(self):
+        # main() parses, checks finiteness, dispatches and maps errors; each
+        # subcommand checks the arguments it uses
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {"command"} | {a.dest for p in sub.choices.values() for a in p._actions}
+        assert {"scheme", "lam", "grid_count"} <= options
+        tree = ast.parse(Path(cli.__file__).read_text())
+        main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+        read = set()
+        for node in ast.walk(main):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args":
+                read.add(node.attr)
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr":
+                read.add(getattr(node.args[1], "value", None))
+        assert not read & options, sorted(read & options)
 
 
 class TestDeterminismAndThreads:

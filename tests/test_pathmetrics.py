@@ -173,6 +173,9 @@ class TestDomainGuards:
         geo = geodesic_closed_form(scheme, 0.0, 1.0, 0.1)
         with pytest.raises(DomainError):
             igc(metric, geo, 0.0)
+        # NaN fails every comparison, so only "not tau > 0" refuses it
+        with pytest.raises(DomainError):
+            igc(metric, geo, math.nan)
 
     def test_igc_window_must_respect_validity(self):
         scheme = scheme_of(SchemeKind.EXPONENTIAL)
