@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._ode import brentq
 from .errors import DomainError, NoSignChange, RootFailure
 from .geometry import fisher_closed_form, metric_factor, metric_scale
 from .schemes import PROFILES, DrivingScheme, SchemeKind, resonant_gamma
@@ -183,13 +184,10 @@ def rate_crossover(
         raise NoSignChange(
             f"no sign change on [{a}, {b}]: diff({a})={fa}, diff({b})={fb}"
         )
-    from scipy.optimize import brentq
-
-    root, res = brentq(diff, a, b, xtol=_BRENT_XTOL, maxiter=_BRENT_MAXITER,
-                       full_output=True, disp=False)
-    if not res.converged:
-        raise RootFailure(f"no crossover within {res.iterations} iterations on [{a}, {b}]")
-    return float(root)
+    root, converged, iterations = brentq(diff, a, b, _BRENT_XTOL, _BRENT_MAXITER)
+    if not converged:
+        raise RootFailure(f"no crossover within {iterations} iterations on [{a}, {b}]")
+    return root
 
 
 def region_boundary_scale() -> float:

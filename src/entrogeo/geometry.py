@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._ode import rk45
 from .errors import (
     DegenerateDistribution,
     DomainError,
@@ -188,7 +189,7 @@ def geodesic_numeric(
     if theta0 <= 0 or thetadot0 <= 0:
         raise DomainError("geodesics require theta0 > 0 and thetadot0 > 0")
     if not (math.isfinite(xi0) and math.isfinite(xi_end)):
-        # solve_ivp does not return on a non-finite span
+        # RK45 does not return on a non-finite span
         raise DomainError(f"integration span [{xi0}, {xi_end}] must be finite")
     if not xi_end > xi0:
         raise DomainError(f"integration span [{xi0}, {xi_end}] needs xi_end > xi0")
@@ -205,7 +206,7 @@ def geodesic_numeric(
     dg_start = metric.dg_dtheta(theta0)
     if not (math.isfinite(g_start) and math.isfinite(dg_start)):
         # such as g0 = inf times an underflowed m = 0; a NaN first
-        # derivative makes solve_ivp's first step NaN, and it never returns
+        # derivative makes RK45's first step NaN, and it never returns
         raise OverflowError(f"g({theta0}) = {g_start}, dg/dtheta = {dg_start}: not finite")
     # an underflowed g(theta0) = 0 gives floor 0, which g = 0 does not pass
     floor = _METRIC_FLOOR * g_start
@@ -239,15 +240,11 @@ def geodesic_numeric(
         if not math.isfinite(y0[1]):
             raise OverflowError(f"g(theta0) * thetadot0 = {g_start} * {thetadot0} is not finite")
 
-    from scipy.integrate import solve_ivp
-
     xi_grid = np.linspace(xi0, xi_end, n_samples)
     # the solver's step-size estimate may overflow for huge states; a
     # non-finite result is refused by the caller, not warned about here
     with np.errstate(all="ignore"):
-        sol = solve_ivp(
-            rhs, (xi0, xi_end), y0, method="RK45", rtol=_ODE_TOL, atol=_ODE_TOL, t_eval=xi_grid,
-        )
+        sol = rk45(rhs, xi0, xi_end, y0, xi_grid, _ODE_TOL, _ODE_TOL)
     if not sol.success:
         raise StepFailure(f"geodesic integration failed: {sol.message}")
     theta = sol.y[0]
@@ -255,7 +252,8 @@ def geodesic_numeric(
         thetadot = sol.y[1]
     else:
         thetadot = sol.y[1] / np.array([metric.g(t) for t in theta])
-    return SampledGeodesic(xi=sol.t, theta=theta, thetadot=thetadot, formulation=formulation)
+    # on success the solution covers all of xi_grid
+    return SampledGeodesic(xi=xi_grid, theta=theta, thetadot=thetadot, formulation=formulation)
 
 
 def geodesic_residual(metric: MetricField, geo: Geodesic, xi: float) -> float:

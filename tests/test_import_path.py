@@ -1,5 +1,6 @@
-"""Cold start: the closed-form subcommands, ``metrics`` included, never
-load scipy, nor the sympy/mpmath test oracles.
+"""Cold start: no subcommand but ``verify`` loads scipy, nor the
+sympy/mpmath test oracles: ``metrics`` is closed form, and ``geodesic`` and
+``crossover`` run the package's own RK45 and brentq.
 
 Each case runs in a fresh interpreter, since a module stays in
 ``sys.modules`` once any test in this process has imported it.
@@ -39,6 +40,13 @@ CASES = {
         argv=["metrics", "--scheme", "oscillating", "--lambda", "1.2", "--theta0", "0.8",
               "--thetadot0", "0.05", "--tau", "3", "--xi0", "0.25", "--tau0", "0.5"],
         rc=0),
+    **{
+        f"geodesic {kind}": _CLI_CASE.format(
+            argv=["geodesic", "--scheme", kind]
+            + ([] if kind == "constant" else ["--lambda", "0.5"]), rc=0)
+        for kind in ("constant", "oscillating", "power_law", "exponential")
+    },
+    "crossover": _CLI_CASE.format(argv=["crossover"], rc=0),
     "domain error": _CLI_CASE.format(
         argv=["metrics", "--scheme", "power_law", "--lambda", "-1"], rc=2),
 }
