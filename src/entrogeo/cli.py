@@ -5,6 +5,8 @@ Exit codes: 0 ok, 1 verification failure, 2 usage/domain error,
 3 numerical failure, 4 internal error (an exception no other code
 names: a defect, reported on one stderr line).  CSV output is deterministic (17 significant
 digits, atomic writes) and every run is stamped with a config hash.
+``geodesic --samples`` is capped at 10**6 (exit 2 above it),
+because the ODE solver holds every sample in memory.
 """
 from __future__ import annotations
 
@@ -52,6 +54,9 @@ _NUMERICAL_ERRORS = (QuadratureFailure, RootFailure, StepFailure, MetricDegenera
 
 # rows turned into Python floats at a time; bounds the transient lists
 _CHUNK_ROWS = 4096
+# the ODE solver holds every sample of `geodesic` at once, so streaming the
+# CSV cannot bound its memory; a million rows is ~0.1 GB of output
+_MAX_SAMPLES = 10**6
 
 
 def _fmt(x: float) -> str:
@@ -183,6 +188,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    if args.samples > _MAX_SAMPLES:
+        raise DomainError(f"--samples={args.samples} is above the cap of {_MAX_SAMPLES}")
     scheme = _build_scheme(args)
     metric = fisher_closed_form(scheme)
     geo = geodesic_closed_form(scheme, args.xi0, args.theta0, args.thetadot0)

@@ -264,6 +264,13 @@ class TestExitCodes:
         assert "Traceback" not in res.stderr
         assert res.stdout == ""
 
+    def test_samples_above_cap_is_usage_error(self, capsys):
+        # refused before the scheme is built or any grid is allocated
+        n = cli._MAX_SAMPLES + 1
+        argv = ["geodesic", "--scheme", "constant", "--samples", str(n)]
+        assert _main_outcome(argv, capsys) == (
+            2, "", f"error: --samples={n} is above the cap of {cli._MAX_SAMPLES}\n")
+
     def test_verify_ok(self):
         assert run("verify", "--filter", "crossover").returncode == 0
 
@@ -626,3 +633,34 @@ def test_every_argv_ends_in_a_documented_exit(argv):
         assert len(lines) == 1 and lines[0].startswith(("error:", "numerical failure:")), (
             argv, lines)
     assert not re.search(r"(?i)\bnan\b|\binf", out.getvalue()), argv
+
+
+# Edge floats from EDGE_FLOATS in the options of the two subcommands that
+# run an iterative solver, each in a child with a timeout: a hang is the
+# failure the in-process property cannot see.
+_HANG_ARGV = [
+    ["geodesic", "--scheme", "power_law", "--lambda", "1e308"],
+    ["geodesic", "--scheme", "constant", "--thetadot0", "1e300", "--xi-end", "1e300"],
+    ["geodesic", "--scheme", "constant", "--thetadot0", "1e-300", "--xi-end", "1e300"],
+    ["geodesic", "--scheme", "constant", "--thetadot0", "1e308", "--xi-end", "3"],
+    ["geodesic", "--scheme", "exponential", "--lambda", "1e-300"],
+    ["geodesic", "--scheme", "oscillating", "--lambda", "1e300", "--xi-end", "1e-300"],
+    ["geodesic", "--scheme", "power_law", "--lambda", "0.5", "--thetadot0", "1e300",
+     "--xi-end", "1e-300", "--samples", "2"],
+    ["geodesic", "--scheme", "exponential", "--lambda", "0.5", "--xi-end", "nan"],
+    ["geodesic", "--scheme", "constant", "--xi-end", "1e308", "--samples", "0"],
+    ["crossover", "--bracket", "0", "1e308"],
+    ["crossover", "--scheme-a", "oscillating", "--scheme-b", "constant",
+     "--bracket", "1e-300", "1e308"],
+    ["crossover", "--scheme-a", "exponential", "--scheme-b", "constant",
+     "--bracket", "-1e300", "1e-300"],
+    ["crossover", "--bracket", "-inf", "5"],
+]
+
+
+@pytest.mark.parametrize("argv", _HANG_ARGV, ids=" ".join)
+def test_solver_argv_ends_in_time(argv):
+    res = subprocess.run(ENTROGEO + argv, capture_output=True, text=True, timeout=60)
+    assert res.returncode in (0, 2, 3), (res.returncode, res.stderr)
+    assert "Traceback" not in res.stderr
+    assert "Warning" not in res.stderr
