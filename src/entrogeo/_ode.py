@@ -21,7 +21,7 @@ References:
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,8 +49,10 @@ _P = np.array([
 _SAFETY = 0.9  # multiplies steps computed from the asymptotic error
 _MIN_FACTOR = 0.2  # smallest step decrease
 _MAX_FACTOR = 10  # largest step increase
-_ERROR_EXPONENT = -1 / (4 + 1)  # the error estimator is of order 4
+_ERROR_ORDER = 4  # of the embedded error estimator
+_ERROR_EXPONENT = -1 / (_ERROR_ORDER + 1)
 
+# solve_ivp's message when success is False
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # brentq's default relative tolerance, 4 * eps, which is also its floor
@@ -62,8 +64,7 @@ class OdeResult(NamedTuple):
 
     t: np.ndarray
     y: np.ndarray  # shape (n, len(t))
-    success: bool
-    message: Optional[str]  # TOO_SMALL_STEP on failure, else None
+    success: bool  # False: the step shrank below the float spacing at t
     nfev: int
 
 
@@ -88,7 +89,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (4 + 1))
+        h1 = (0.01 / max(d1, d2)) ** (1 / (_ERROR_ORDER + 1))
     return min(100 * h0, h1, interval_length)
 
 
@@ -113,8 +114,8 @@ def rk45(
     inside the span, with rtol >= 100 eps.
 
     Returns the solution at each point of ``t_eval`` the solver got past;
-    on failure (the step shrank below the float spacing at t) that is a
-    leading part of ``t_eval``.  A non-finite ``y0`` raises ValueError.
+    on failure that is a leading part of ``t_eval``.  A non-finite ``y0``
+    raises ValueError.
     """
     t, t_bound = float(t0), float(t_bound)
     y = np.asarray(y0).astype(float, copy=False)
@@ -139,7 +140,7 @@ def rk45(
         while not accepted:
             if h_abs < min_step:
                 t_out, y_out = (np.hstack(ts), np.hstack(ys)) if ts else ([], [])
-                return OdeResult(t_out, y_out, False, TOO_SMALL_STEP, nfev)
+                return OdeResult(t_out, y_out, False, nfev)
             t_new = t + h_abs
             if t_new - t_bound > 0:
                 t_new = t_bound
@@ -178,7 +179,7 @@ def rk45(
             ys.append(y_step)
             i_eval = i_new
         if t - t_bound >= 0:
-            return OdeResult(np.hstack(ts), np.hstack(ys), True, None, nfev)
+            return OdeResult(np.hstack(ts), np.hstack(ys), True, nfev)
 
 
 def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, maxiter: int):

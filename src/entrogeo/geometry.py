@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._ode import rk45
+from ._ode import TOO_SMALL_STEP, rk45
 from .errors import (
     DegenerateDistribution,
     DomainError,
@@ -246,7 +246,7 @@ def geodesic_numeric(
     with np.errstate(all="ignore"):
         sol = rk45(rhs, xi0, xi_end, y0, xi_grid, _ODE_TOL, _ODE_TOL)
     if not sol.success:
-        raise StepFailure(f"geodesic integration failed: {sol.message}")
+        raise StepFailure(f"geodesic integration failed: {TOO_SMALL_STEP}")
     theta = sol.y[0]
     if formulation is GeodesicFormulation.CHRISTOFFEL:
         thetadot = sol.y[1]
