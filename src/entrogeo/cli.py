@@ -55,7 +55,8 @@ _NUMERICAL_ERRORS = (QuadratureFailure, RootFailure, StepFailure, MetricDegenera
 # rows turned into Python floats at a time; bounds the transient lists
 _CHUNK_ROWS = 4096
 # the ODE solver holds every sample of `geodesic` at once, so streaming the
-# CSV cannot bound its memory; a million rows is ~0.1 GB of output
+# CSV cannot bound its memory; a million rows are ~0.1 GB of CSV and a
+# ~0.4 GB peak resident set
 _MAX_SAMPLES = 10**6
 
 
