@@ -72,10 +72,10 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(fun, t0, y0, t_bound, f0, rtol, atol):
+def _initial_step(fun, t0, y0, t_bound, f0, tol):
     """scipy's ``select_initial_step`` for a forward span of nonzero length."""
     interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
+    scale = tol + np.abs(y0) * tol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
     if d0 < 1e-5 or d1 < 1e-5:
@@ -105,13 +105,10 @@ def _rk_step(fun, t, y, f, h, K):
     return y_new, f_new
 
 
-def rk45(
-    fun: Callable, t0: float, t_bound: float, y0, t_eval: np.ndarray,
-    rtol: float, atol: float,
-) -> OdeResult:
+def rk45(fun: Callable, t0: float, t_bound: float, y0, t_eval: np.ndarray, tol: float) -> OdeResult:
     """``solve_ivp(fun, (t0, t_bound), y0, method="RK45", t_eval=t_eval,
-    rtol=rtol, atol=atol)`` for t_bound > t0 and an increasing ``t_eval``
-    inside the span, with rtol >= 100 eps.
+    rtol=tol, atol=tol)`` for t_bound > t0, an increasing ``t_eval``
+    inside the span and tol >= 100 eps.
 
     Returns the solution at each point of ``t_eval`` the solver got past;
     on failure that is a leading part of ``t_eval``.  A non-finite ``y0``
@@ -129,7 +126,7 @@ def rk45(
         return np.asarray(fun(t, y), dtype=float)
 
     fy = f(t, y)
-    h_abs = _initial_step(f, t, y, t_bound, fy, rtol, atol)
+    h_abs = _initial_step(f, t, y, t_bound, fy, tol)
     K = np.empty((len(_C) + 1, y.size), dtype=y.dtype)
     ts, ys, i_eval = [], [], 0
     while True:
@@ -147,7 +144,7 @@ def rk45(
             h = t_new - t
             h_abs = np.abs(h)
             y_new, f_new = _rk_step(f, t, y, fy, h, K)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
             error_norm = _rms(np.dot(K.T, _E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:

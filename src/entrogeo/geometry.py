@@ -244,7 +244,7 @@ def geodesic_numeric(
     # the solver's step-size estimate may overflow for huge states; a
     # non-finite result is refused by the caller, not warned about here
     with np.errstate(all="ignore"):
-        sol = rk45(rhs, xi0, xi_end, y0, xi_grid, _ODE_TOL, _ODE_TOL)
+        sol = rk45(rhs, xi0, xi_end, y0, xi_grid, _ODE_TOL)
     if not sol.success:
         raise StepFailure(f"geodesic integration failed: {TOO_SMALL_STEP}")
     theta = sol.y[0]

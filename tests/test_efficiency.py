@@ -11,7 +11,6 @@ from entrogeo import (
     DomainError,
     DrivingScheme,
     NoSignChange,
-    RootFailure,
     SchemeKind,
     eta1,
     eta2,
@@ -20,7 +19,7 @@ from entrogeo import (
     rate_crossover,
     region_boundary_scale,
 )
-from entrogeo import cli, efficiency
+from entrogeo import cli
 from entrogeo.efficiency import check_ranking_preservation, entropy_rate_of_scheme
 
 positive = st.floats(1e-6, 1e6)
@@ -166,11 +165,6 @@ class TestCrossover:
             rate_crossover(
                 SchemeKind.EXPONENTIAL, SchemeKind.POWER_LAW, 1.0, (3.0, 5.0)
             )
-
-    def test_unconverged_root_raises_root_failure(self, monkeypatch):
-        monkeypatch.setattr(efficiency, "_BRENT_MAXITER", 5)
-        with pytest.raises(RootFailure, match="no crossover within 5 iterations"):
-            rate_crossover(SchemeKind.EXPONENTIAL, SchemeKind.POWER_LAW, 1.0, (1.0, 1e50))
 
     def test_identical_schemes_rejected(self):
         with pytest.raises(NoSignChange):

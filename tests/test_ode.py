@@ -63,7 +63,7 @@ def geodesic_problems(draw):
 def test_rk45_matches_solve_ivp(problem):
     rhs, xi_end, y0, grid = problem
     ref = solve_ivp(rhs, (0.0, xi_end), y0, method="RK45", rtol=TOL, atol=TOL, t_eval=grid)
-    got = rk45(rhs, 0.0, xi_end, y0, grid, TOL, TOL)
+    got = rk45(rhs, 0.0, xi_end, y0, grid, TOL)
     assert ref.success and got.success
     assert np.array_equal(got.t, ref.t)
     assert np.array_equal(got.y, ref.y)
@@ -79,7 +79,7 @@ def test_rk45_failure_matches_solve_ivp():
     grid = np.linspace(0.0, 2.0, 21)
     with np.errstate(all="ignore"):
         ref = solve_ivp(rhs, (0.0, 2.0), [1.0], method="RK45", rtol=TOL, atol=TOL, t_eval=grid)
-        got = rk45(rhs, 0.0, 2.0, [1.0], grid, TOL, TOL)
+        got = rk45(rhs, 0.0, 2.0, [1.0], grid, TOL)
     assert not ref.success and not got.success
     assert ref.message == TOO_SMALL_STEP
     assert got.nfev == ref.nfev == 7802
