@@ -60,7 +60,7 @@ _BRENT_RTOL = 8.881784197001252e-16
 
 
 class OdeResult(NamedTuple):
-    """The fields of ``solve_ivp``'s result that the library reads."""
+    """The fields of ``solve_ivp``'s result that the port reproduces."""
 
     t: np.ndarray
     y: np.ndarray  # shape (n, len(t))
