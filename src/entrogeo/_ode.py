@@ -1,13 +1,19 @@
-"""The two scipy solvers the library runs, ported to numpy and Python: the
-Dormand-Prince RK45 integrator of ``scipy.integrate.solve_ivp`` and Brent's
-bracketing root finder ``scipy.optimize.brentq``.
+"""The three numerical solvers the library runs, in numpy and Python: the
+Dormand-Prince RK45 integrator of ``scipy.integrate.solve_ivp``, Brent's
+bracketing root finder ``scipy.optimize.brentq``, and an adaptive
+Gauss-Kronrod quadrature.
 
-Each port does scipy's arithmetic with the same numpy calls in the same
-order, so it returns scipy's bits; that was shown against scipy 1.17.1
-(tests/test_ode.py compares them over drawn inputs), and the golden corpus
-stays the byte gate.  Only what the library uses is kept: forward
-integration with ``t_eval`` and no events, and brentq's default relative
-tolerance.
+The RK45 and brentq ports do scipy's arithmetic with the same numpy calls
+in the same order, so they return scipy's bits; that was shown against
+scipy 1.17.1 (tests/test_ode.py compares them over drawn inputs), and the
+golden corpus stays the byte gate.  Only what the library uses is kept:
+forward integration with ``t_eval`` and no events, and brentq's default
+relative tolerance.
+
+The quadrature is not a port of ``scipy.integrate.quad``: it keeps only
+QUADPACK's 15-point Kronrod rule and its bisection of the worst panel, so
+its results agree with scipy's to the requested tolerance, not to the
+bit.  No printed number depends on it.
 
 References:
 - J. R. Dormand, P. J. Prince, "A family of embedded Runge-Kutta
@@ -18,12 +24,19 @@ References:
   Equations I*, section II.4: the initial step and the step-size control.
 - R. P. Brent, *Algorithms for Minimization without Derivatives*, 1973,
   ch. 4: the root finder.
+- R. Piessens, E. de Doncker-Kapenga, C. W. Ueberhuber, D. K. Kahaner,
+  *QUADPACK*, Springer, 1983: the G7-K15 table of QK15 and the
+  bisection of QAG.
 """
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
+
+from .errors import QuadratureFailure
 
 _C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
 _A = np.array([
@@ -57,6 +70,26 @@ TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # brentq's default relative tolerance, 4 * eps, which is also its floor
 _BRENT_RTOL = 8.881784197001252e-16
+
+# QUADPACK's QK15: the positive Kronrod nodes, largest first, with their
+# Kronrod weights and, on every second node, the 7-point Gauss weight
+# (0 on the nodes Kronrod added); the centre carries both rules' last weight
+_GK15 = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204,
+     0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238,
+     0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014,
+     0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_GK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+# QUADPACK's QAG stops bisecting a panel whose halves are within 100 ulp
+# of their ends: the nodes there no longer sample the integrand
+_NARROW = 200 * 2.0**-52
 
 
 class OdeResult(NamedTuple):
@@ -237,3 +270,66 @@ def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, maxiter
             xcur += delta if sbis > 0 else -delta
         fcur = f(xcur)
     return xcur, False, maxiter
+
+
+def _gk15(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """The 15-point Kronrod and the 7-point Gauss estimates of the
+    integral of f over [a, b], from the same 15 values of f."""
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    fc = f(c)
+    kronrod = _GK15_CENTRE[0] * fc
+    gauss = _GK15_CENTRE[1] * fc
+    for x, wk, wg in _GK15:
+        dx = h * x
+        pair = f(c - dx) + f(c + dx)
+        kronrod += wk * pair
+        gauss += wg * pair
+    return kronrod * h, gauss * h
+
+
+def _panel(f, a, b):
+    """A heap entry for [a, b]: (-error, a, b, value), the worst panel first."""
+    kronrod, gauss = _gk15(f, a, b)
+    error = abs(kronrod - gauss)
+    if not math.isfinite(error):
+        # also catches a non-finite value: kronrod - gauss is then nan or inf
+        raise QuadratureFailure(
+            f"integrand or its error estimate not finite on [{a}, {b}]"
+        )
+    return -error, a, b, kronrod
+
+
+def quad(f: Callable[[float], float], a: float, b: float,
+         epsabs: float, epsrel: float, limit: int) -> float:
+    """The integral of f from a to b by adaptive G7-K15 quadrature.
+
+    Bisects the panel with the largest |K15 - G7| until the sum of those
+    estimates is at most max(epsabs, epsrel * |integral|), then returns the
+    panels' K15 values summed with ``math.fsum``.  Reversed limits give the
+    negated integral and a == b gives 0.0.  Raises QuadratureFailure when
+    the estimate needs more than ``limit`` panels, when a panel gets too
+    narrow to bisect, or when a value of f or an error estimate is not
+    finite.
+    """
+    if a == b:
+        return 0.0
+    if b < a:
+        return -quad(f, b, a, epsabs, epsrel, limit)
+    panels = [_panel(f, a, b)]
+    while True:
+        total = math.fsum(p[3] for p in panels)
+        error = -math.fsum(p[0] for p in panels)
+        if error <= max(epsabs, epsrel * abs(total)):
+            return total
+        if len(panels) >= limit:
+            raise QuadratureFailure(
+                f"subdivision limit {limit} reached on [{a}, {b}]: "
+                f"error estimate {error:.3g} for the value {total:.17g}"
+            )
+        _, lo, hi, _ = heapq.heappop(panels)
+        mid = 0.5 * (lo + hi)
+        if not (lo < mid < hi) or hi - lo <= _NARROW * max(abs(lo), abs(hi)):
+            raise QuadratureFailure(f"panel [{lo}, {hi}] too narrow to bisect")
+        heapq.heappush(panels, _panel(f, lo, mid))
+        heapq.heappush(panels, _panel(f, mid, hi))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -157,12 +158,24 @@ def geodesic_closed_form(
 
 @dataclass(frozen=True)
 class SampledGeodesic:
-    """Numeric geodesic solution at evenly spaced samples of [xi0, xi_end]."""
+    """Numeric geodesic solution at evenly spaced samples of [xi0, xi_end].
+
+    ``state`` is the solver's second component: theta' in the Christoffel
+    form, m = g * theta' in the divergence form, whose ``thetadot`` divides
+    by ``g`` on first read.
+    """
 
     xi: np.ndarray
     theta: np.ndarray
-    thetadot: np.ndarray
+    state: np.ndarray
     formulation: GeodesicFormulation
+    g: Callable[[float], float]
+
+    @cached_property
+    def thetadot(self) -> np.ndarray:
+        if self.formulation is GeodesicFormulation.CHRISTOFFEL:
+            return self.state
+        return self.state / np.array([self.g(t) for t in self.theta])
 
 
 def geodesic_numeric(
@@ -215,7 +228,9 @@ def geodesic_numeric(
         # past an overflowed theta the solver keeps taking finite steps
         # across the whole span, which can take forever
         if not math.isfinite(theta):
-            raise OverflowError(f"theta = {theta} along the geodesic")
+            # no sign: a stage sum such as -56/15 * theta' can overflow to
+            # -inf while theta rises
+            raise OverflowError("theta overflowed along the geodesic")
         g = metric.g(theta)
         if g <= floor:
             raise MetricDegenerate(f"g({theta}) = {g} at or below the positivity floor {floor}")
@@ -247,13 +262,9 @@ def geodesic_numeric(
         sol = rk45(rhs, xi0, xi_end, y0, xi_grid, _ODE_TOL)
     if not sol.success:
         raise StepFailure(f"geodesic integration failed: {TOO_SMALL_STEP}")
-    theta = sol.y[0]
-    if formulation is GeodesicFormulation.CHRISTOFFEL:
-        thetadot = sol.y[1]
-    else:
-        thetadot = sol.y[1] / np.array([metric.g(t) for t in theta])
     # on success the solution covers all of xi_grid
-    return SampledGeodesic(xi=xi_grid, theta=theta, thetadot=thetadot, formulation=formulation)
+    return SampledGeodesic(xi=xi_grid, theta=sol.y[0], state=sol.y[1],
+                           formulation=formulation, g=metric.g)
 
 
 def geodesic_residual(metric: MetricField, geo: Geodesic, xi: float) -> float:

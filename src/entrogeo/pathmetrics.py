@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, QuadratureFailure
+from . import _ode
+from .errors import DomainError
 from .geometry import (
     Geodesic,
     MetricField,
@@ -65,17 +66,8 @@ class PathMetricsReport:
 
 
 def _quad(f, a: float, b: float) -> float:
-    if a == b:
-        return 0.0
-    from scipy.integrate import quad
-
-    val, err, info, *msg = quad(
-        f, a, b, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL,
-        limit=_QUAD_LIMIT, full_output=True,
-    )
-    if msg:
-        raise QuadratureFailure(str(msg[0]))
-    return val
+    """Raises QuadratureFailure past _QUAD_LIMIT panels."""
+    return _ode.quad(f, a, b, _QUAD_EPSABS, _QUAD_EPSREL, _QUAD_LIMIT)
 
 
 def entropic_speed(metric: MetricField, traj: ParamTrajectory, xi: float) -> float:

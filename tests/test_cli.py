@@ -170,6 +170,16 @@ class TestExitCodes:
         assert res.stderr.startswith("error: a derived quantity left the float range")
         assert "Traceback" not in res.stderr
 
+    def test_theta_overflow_names_no_sign(self):
+        # theta rises from theta0 = 1, but RK45's stage weight -56/15 times
+        # theta' = 1e308 overflows to -inf; the message used to say
+        # "theta = -inf"
+        res = run("geodesic", "--scheme", "constant", "--thetadot0", "1e308", "--xi-end", "3")
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stderr == ("error: a derived quantity left the float range "
+                              "(theta overflowed along the geodesic)\n")
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("argv", [
         ["figure2", "--thetadot0", "1e300"],
         ["figure1", "--tau-start=-1.7e308", "--tau-stop", "1.7e308"],

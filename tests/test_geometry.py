@@ -9,6 +9,7 @@ from entrogeo import (
     DomainError,
     DrivingScheme,
     GeodesicFormulation,
+    MetricField,
     OutOfValidity,
     SchemeKind,
     fisher_closed_form,
@@ -157,6 +158,26 @@ class TestNumericGeodesics:
         )
         assert np.max(np.abs(num.theta - np.asarray(geo.theta(num.xi)))) <= 1e-6
         assert np.max(np.abs(num.thetadot - np.asarray(geo.thetadot(num.xi)))) <= 1e-6
+
+    def test_divergence_thetadot_is_computed_on_first_read(self):
+        # the geodesic subcommand never reads theta', so the solve must not
+        # pay for one g(theta) call per sample
+        closed = fisher_closed_form(scheme_of(SchemeKind.EXPONENTIAL))
+        calls = []
+
+        def g(th):
+            calls.append(th)
+            return closed.g(th)
+
+        metric = MetricField(g=g, dg_dtheta=closed.dg_dtheta, source=closed.source)
+        num = geodesic_numeric(metric, 0.0, 1.0, 0.1, 1.0,
+                               formulation=GeodesicFormulation.DIVERGENCE, n_samples=51)
+        solved = len(calls)
+        thetadot = num.thetadot
+        assert len(calls) == solved + 51
+        assert num.thetadot is thetadot and len(calls) == solved + 51
+        # the same scalar g as before, so the same bits
+        assert np.array_equal(thetadot, num.state / np.array([closed.g(t) for t in num.theta]))
 
     def test_dense_evaluation(self):
         # xi = 0.37 is the middle sample of [0, 0.74]

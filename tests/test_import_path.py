@@ -1,6 +1,6 @@
-"""Cold start: no subcommand but ``verify`` loads scipy, nor the
-sympy/mpmath test oracles: ``metrics`` is closed form, and ``geodesic`` and
-``crossover`` run the package's own RK45 and brentq.
+"""Cold start: no subcommand loads scipy, nor the sympy/mpmath test
+oracles: ``metrics`` is closed form, ``geodesic`` and ``crossover`` run the
+package's own RK45 and brentq, and ``verify`` its own quadrature.
 
 Each case runs in a fresh interpreter, since a module stays in
 ``sys.modules`` once any test in this process has imported it.
@@ -47,6 +47,7 @@ CASES = {
         for kind in ("constant", "oscillating", "power_law", "exponential")
     },
     "crossover": _CLI_CASE.format(argv=["crossover"], rc=0),
+    "verify": _CLI_CASE.format(argv=["verify"], rc=0),
     "domain error": _CLI_CASE.format(
         argv=["metrics", "--scheme", "power_law", "--lambda", "-1"], rc=2),
 }
@@ -61,3 +62,10 @@ def test_scipy_not_loaded(code):
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+def test_verify_runs_without_scipy():
+    # None in sys.modules makes any import of scipy raise ImportError
+    probe = 'import sys\nsys.modules["scipy"] = None\n' + CASES["verify"]
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
