@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from . import _ode
+from ._ode import quad
 from .errors import DomainError
 from .geometry import (
     Geodesic,
@@ -66,8 +66,8 @@ class PathMetricsReport:
 
 
 def _quad(f, a: float, b: float) -> float:
-    """Raises QuadratureFailure past _QUAD_LIMIT panels."""
-    return _ode.quad(f, a, b, _QUAD_EPSABS, _QUAD_EPSREL, _QUAD_LIMIT)
+    """The integral of f over [a, b] at the library's tolerances."""
+    return quad(f, a, b, _QUAD_EPSABS, _QUAD_EPSREL, _QUAD_LIMIT)
 
 
 def entropic_speed(metric: MetricField, traj: ParamTrajectory, xi: float) -> float:

@@ -172,8 +172,7 @@ class TestExitCodes:
 
     def test_theta_overflow_names_no_sign(self):
         # theta rises from theta0 = 1, but RK45's stage weight -56/15 times
-        # theta' = 1e308 overflows to -inf; the message used to say
-        # "theta = -inf"
+        # theta' = 1e308 overflows to -inf, so the message names no sign
         res = run("geodesic", "--scheme", "constant", "--thetadot0", "1e308", "--xi-end", "3")
         assert res.returncode == 2, res.stdout + res.stderr
         assert res.stderr == ("error: a derived quantity left the float range "

@@ -60,8 +60,8 @@ def test_subdivision_limit_fails():
 def test_panel_too_narrow_fails():
     # the integral is 10, but the singularity at 1 keeps the last panel
     # worst until its nodes are a few ulp apart and no longer sample the
-    # integrand; without the width check this returned 9.7434565 at a
-    # limit of 10000
+    # integrand, whose K15 - G7 can then be small by chance (9.7434565
+    # came out without the width check)
     def f(x):
         return (1.0 - x) ** -0.9 if x < 1.0 else 0.0
 
