@@ -528,6 +528,25 @@ class TestColumnsFromLibrary:
                     DrivingScheme.resonant(kind, lam), float(theta0), float(thetadot0))
                 assert abs(got - want) <= self.MAX_ULPS * math.ulp(want), (kind, lam)
 
+    # the exponential kind at lambda = 0.5, thetadot0 = 0.1 is one point where
+    # two formulas for r_E once differed by 1 ulp
+    @pytest.mark.parametrize("lam,theta0,thetadot0", [
+        ("0.5", "1", "0.1"), ("1.2", "0.8", "0.05"), ("0.3", "0.4", "2.5"), ("2", "0.5", "7"),
+    ])
+    def test_table1_and_metrics_agree_bit_for_bit(self, lam, theta0, thetadot0, capsys):
+        point = ["--lambda", lam, "--theta0", theta0, "--thetadot0", thetadot0]
+        assert cli.main(["table1", *point]) == 0
+        table = {e["scheme"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
+        for scheme in table:
+            # table1's constant scheme has the resonant gamma, as an omitted
+            # gamma gives the other kinds
+            gamma = repr(DrivingScheme.resonant(SchemeKind(scheme), float(lam)).gamma)
+            argv = ["metrics", "--scheme", scheme, "--gamma", gamma, *point, "--tau", "0.01"]
+            assert cli.main(argv) == 0
+            computed = json.loads(capsys.readouterr().out)["computed"]
+            assert table[scheme]["r_E"] == computed["r_E"], scheme
+            assert table[scheme]["igc_slope"] == computed["igc_rate"], scheme
+
     def test_cli_computes_no_formula(self):
         # the emitters format what the library computes: no per-kind table
         # and no elementary function of math or numpy in cli.py

@@ -258,6 +258,16 @@ class TestReportWindow:
         with pytest.raises(OutOfValidity):
             report(self.SCHEME, 1.0, 0.1, 1.0, tau0=tau0)
 
+    @pytest.mark.parametrize("tau0", [0.5, 3.0, 19.0])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_later_window_has_launch_speed_and_rate(self, kind, tau0):
+        # v and r are constant along a geodesic, so a later window reports
+        # the launch point's bits
+        scheme = scheme_of(kind, lam=0.05)
+        at_launch = report(scheme, 1.0, 0.1, 0.5)
+        later = report(scheme, 1.0, 0.1, 0.5, tau0=tau0)
+        assert (later.v_E, later.r_E) == (at_launch.v_E, at_launch.r_E)
+
     def test_constant_kind_has_no_validity_end(self):
         scheme = scheme_of(SchemeKind.CONSTANT)
         rep = report(scheme, 1.0, 0.1, 1e6, tau0=1e3)
