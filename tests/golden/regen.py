@@ -9,14 +9,23 @@ and CPU features the corpus was made on: numpy's SIMD ``exp``/``log1p``/
 Regenerate (a reviewed act: name each changed byte in CHANGES.md):
 
     PYTHONPATH=src python tests/golden/regen.py
+
+Compare without writing: print every changed number with its recorded
+value, its new value and their distance in ulp, and exit 1 if any byte
+changed:
+
+    PYTHONPATH=src python tests/golden/regen.py --diff
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import platform
+import re
 import shutil
+import struct
 import sys
 import tempfile
 from pathlib import Path
@@ -109,7 +118,64 @@ def load_case(name: str) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted((HERE / name).iterdir())}
 
 
+_NUMBER = re.compile(r"(-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
+
+
+def ulp_distance(a: float, b: float) -> int:
+    """Number of doubles from a to b; -0.0 and 0.0 are one point."""
+    def ordinal(x: float) -> int:
+        bits = struct.unpack("<q", struct.pack("<d", x))[0]
+        return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+    return abs(ordinal(a) - ordinal(b))
+
+
+def diff_lines(old: str, new: str) -> list[str]:
+    """One line per changed number, '<line>: <prefix> <old> -> <new> (<n> ulp)',
+    or per changed line whose text apart from its numbers differs."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return [f"line count {len(old_lines)} -> {len(new_lines)}"]
+    out = []
+    for n, (a, b) in enumerate(zip(old_lines, new_lines), 1):
+        if a == b:
+            continue
+        ta, tb = _NUMBER.split(a), _NUMBER.split(b)
+        if len(ta) != len(tb) or ta[::2] != tb[::2]:
+            out.append(f"{n}: {a!r} -> {b!r}")
+            continue
+        for i in range(1, len(ta), 2):
+            if ta[i] != tb[i]:
+                prefix = "".join(ta[:i]).strip()
+                dist = ulp_distance(float(ta[i]), float(tb[i]))
+                out.append(f"{n}: {prefix} {ta[i]} -> {tb[i]} ({dist} ulp)")
+    return out
+
+
+def diff() -> int:
+    """Print what regenerating would change; 1 if anything would."""
+    changed = 0
+    for name, argv in CASES.items():
+        got, want = run_case(argv), load_case(name)
+        for key in sorted(set(got) | set(want)):
+            if got.get(key) == want.get(key):
+                continue
+            changed += 1
+            if key not in got or key not in want:
+                print(f"{name}/{key}: {'added' if key in got else 'removed'}")
+                continue
+            for line in diff_lines(want[key].decode(), got[key].decode()):
+                print(f"{name}/{key}:{line}")
+    print(f"{changed} changed outputs in {len(CASES)} cases")
+    return 1 if changed else 0
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description="Regenerate or compare the golden corpus.")
+    parser.add_argument("--diff", action="store_true",
+                        help="compare with the recorded corpus and write nothing")
+    if parser.parse_args().diff:
+        return diff()
     for name, argv in CASES.items():
         case_dir = HERE / name
         shutil.rmtree(case_dir, ignore_errors=True)

@@ -9,7 +9,6 @@ says so; every other byte, exit code included, must still match.
 import importlib.util
 import json
 import math
-import re
 import warnings
 from pathlib import Path
 
@@ -21,7 +20,6 @@ regen = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(regen)
 
 MAX_ULPS = 2
-_NUMBER = re.compile(r"(-?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)")
 
 
 def _fingerprint_mismatch():
@@ -33,7 +31,7 @@ def _fingerprint_mismatch():
 def _close_text(got: str, want: str) -> str:
     """'' if the texts match apart from floats within MAX_ULPS, else the
     first difference."""
-    g, w = _NUMBER.split(got), _NUMBER.split(want)
+    g, w = regen._NUMBER.split(got), regen._NUMBER.split(want)
     if len(g) != len(w):
         return f"token count {len(g)} != {len(w)}"
     for i, (a, b) in enumerate(zip(g, w)):
@@ -73,3 +71,13 @@ def test_ulp_comparison_rejects_a_changed_digit():
     assert _close_text(want.replace("0.30000000000000004", "0.30000000000000027"), want)
     assert _close_text(want.replace("0.30000000000000004", "0.30000000000000007"), want) == ""
     assert _close_text(want.replace("abc123", "abc124"), want)
+
+
+def test_diff_names_each_changed_number():
+    old = '{\n  "v_E": 0.1,\n  "tau": 1.0\n}\n'
+    new = old.replace("0.1", "0.10000000000000002")
+    assert regen.diff_lines(old, new) == ['2: "v_E": 0.1 -> 0.10000000000000002 (1 ulp)']
+    assert regen.diff_lines(old, old.replace("tau", "tau0")) == [
+        """3: '  "tau": 1.0' -> '  "tau0": 1.0'"""]
+    assert regen.ulp_distance(-0.0, 5e-324) == regen.ulp_distance(0.0, 5e-324) == 1
+    assert regen.ulp_distance(-5e-324, 5e-324) == 2
