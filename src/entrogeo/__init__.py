@@ -43,7 +43,6 @@ from .pathmetrics import (
     entropy_rate_metric,
     entropy_rate_score,
     igc,
-    igc_asymptotic_slope,
     report,
     thermodynamic_divergence,
     thermodynamic_length,

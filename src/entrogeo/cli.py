@@ -166,8 +166,7 @@ def cmd_metrics(args) -> int:
     rep = pathmetrics.report(
         scheme, args.theta0, args.thetadot0, args.tau, xi0=args.xi0, tau0=args.tau0
     )
-    v_E, r_E = pathmetrics.launch_speed_and_rate(scheme, args.theta0, args.thetadot0)
-    slope = pathmetrics.igc_asymptotic_slope(scheme, args.theta0, args.thetadot0)
+    shape = pathmetrics.launch_from_shape(scheme, args.theta0, args.thetadot0)
     payload = {
         "scheme": scheme.kind.value,
         "gamma": scheme.gamma,
@@ -182,7 +181,7 @@ def cmd_metrics(args) -> int:
             "igc_rate": rep.igc_rate,
             "tau": rep.tau,
         },
-        "closed_form": {"v_E": v_E, "r_E": r_E, "igc_rate": slope},
+        "closed_form": shape._asdict(),
     }
     _emit(_json_text("metrics", args, payload), args.output)
     return EXIT_OK
@@ -331,7 +330,7 @@ def cmd_table1(args) -> int:
     expected = tuple(k.value for k in _TABLE_ORDER)
     conforms = ranking.order == expected
     slopes = {
-        s.kind.value: efficiency.igc_slope_of_scheme(s, args.theta0, args.thetadot0)
+        s.kind.value: pathmetrics.launch_speed_and_rate(s, args.theta0, args.thetadot0).igc_rate
         for s in schemes
     }
     payload = {

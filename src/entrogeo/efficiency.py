@@ -20,7 +20,8 @@ import numpy as np
 
 from ._ode import brentq
 from .errors import DomainError, NoSignChange, RootFailure
-from .geometry import fisher_closed_form, metric_factor, metric_scale
+from .geometry import metric_factor, metric_scale
+from .pathmetrics import launch_speed_and_rate
 from .schemes import PROFILES, DrivingScheme, SchemeKind, resonant_gamma
 
 _BRENT_XTOL = 1e-10
@@ -89,34 +90,13 @@ class EfficiencyRanking:
     has_ties: bool
 
 
-def entropy_rate_of_scheme(
-    scheme: DrivingScheme, theta0: float, thetadot0: float
-) -> float:
-    """Constant rate along the scheme's geodesic launched at theta0.
-
-    Evaluated pointwise as g(theta0) * thetadot0^2, which equals the
-    geodesic's constant rate wherever the geodesic exists and extends
-    it smoothly past metric turning points (relevant for the
-    oscillating intensity at large lam * theta0).
-    """
-    if theta0 < 0:
-        raise DomainError(f"theta0={theta0} must be nonnegative")
-    metric = fisher_closed_form(scheme)
-    return metric.g(theta0) * thetadot0 * thetadot0
-
-
 def resonant_rate(kind, lam, theta0, thetadot0):
-    """``entropy_rate_of_scheme`` of ``DrivingScheme.resonant(kind, lam)``
-    (hbar = 1) at each lam of an array: g0(lam) * m(lam * theta0) *
-    thetadot0^2, with numpy's elementwise kernels in place of ``math``."""
+    """The rate r_E of ``pathmetrics.launch_speed_and_rate`` for
+    ``DrivingScheme.resonant(kind, lam)`` (hbar = 1) at each lam of an
+    array: g0(lam) * m(lam * theta0) * thetadot0^2, with numpy's
+    elementwise kernels in place of ``math``."""
     g0 = metric_scale(resonant_gamma(lam))
     return g0 * metric_factor(kind, lam * theta0) * thetadot0 * thetadot0
-
-
-def igc_slope_of_scheme(scheme: DrivingScheme, theta0: float, thetadot0: float) -> float:
-    """dC/dtau = v_E / 2 = sqrt(g(theta0)) * thetadot0 / 2 on the scheme's
-    geodesic, from the pointwise metric like ``entropy_rate_of_scheme``."""
-    return 0.5 * thetadot0 * math.sqrt(fisher_closed_form(scheme).g(theta0))
 
 
 def rank_schemes(
@@ -125,7 +105,7 @@ def rank_schemes(
     """Rank schemes by entropic efficiency at shared (theta0, thetadot0)."""
     if len(schemes) < 2:
         raise DomainError("ranking needs at least two schemes")
-    rates = [entropy_rate_of_scheme(s, theta0, thetadot0) for s in schemes]
+    rates = [launch_speed_and_rate(s, theta0, thetadot0).r_E for s in schemes]
     r_min, r_max = min(rates), max(rates)
     labels = []
     for i, s in enumerate(schemes):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from ._ode import quad
 from .errors import DomainError
@@ -70,36 +70,36 @@ def _quad(f, a: float, b: float) -> float:
     return quad(f, a, b, _QUAD_EPSABS, _QUAD_EPSREL, _QUAD_LIMIT)
 
 
+def _speed(metric: MetricField, traj: ParamTrajectory, xi: float) -> float:
+    return math.sqrt(metric.g(traj.theta_of_xi(xi))) * abs(traj.thetadot_of_xi(xi))
+
+
+def _rate(metric: MetricField, traj: ParamTrajectory, xi: float) -> float:
+    return metric.g(traj.theta_of_xi(xi)) * traj.thetadot_of_xi(xi) ** 2
+
+
 def entropic_speed(metric: MetricField, traj: ParamTrajectory, xi: float) -> float:
     """Instantaneous metric speed sqrt(g(theta)) * |theta'| at xi."""
     traj._check(xi)
-    th = traj.theta_of_xi(xi)
-    return math.sqrt(metric.g(th)) * abs(traj.thetadot_of_xi(xi))
+    return _speed(metric, traj, xi)
 
 
 def thermodynamic_length(metric: MetricField, traj: ParamTrajectory) -> float:
     """L = int sqrt(g) |theta'| dxi over the trajectory range."""
     lo, hi = traj.xi_range
-    return _quad(
-        lambda xi: math.sqrt(metric.g(traj.theta_of_xi(xi))) * abs(traj.thetadot_of_xi(xi)),
-        lo, hi,
-    )
+    return _quad(lambda xi: _speed(metric, traj, xi), lo, hi)
 
 
 def thermodynamic_divergence(metric: MetricField, traj: ParamTrajectory) -> float:
     """I = int g * theta'^2 dxi; total entropy produced along the path."""
     lo, hi = traj.xi_range
-    return _quad(
-        lambda xi: metric.g(traj.theta_of_xi(xi)) * traj.thetadot_of_xi(xi) ** 2,
-        lo, hi,
-    )
+    return _quad(lambda xi: _rate(metric, traj, xi), lo, hi)
 
 
 def entropy_rate_metric(metric: MetricField, traj: ParamTrajectory, xi: float) -> float:
     """Entropy production rate g * theta'^2 (the divergence integrand)."""
     traj._check(xi)
-    th = traj.theta_of_xi(xi)
-    return metric.g(th) * traj.thetadot_of_xi(xi) ** 2
+    return _rate(metric, traj, xi)
 
 
 def entropy_rate_score(path: ProbabilityPath, traj: ParamTrajectory, xi: float) -> float:
@@ -137,30 +137,46 @@ def igc(
             f"(ends at {geodesic.validity_end})"
         )
 
-    def speed(xi: float) -> float:
-        return math.sqrt(metric.g(geodesic.theta(xi))) * geodesic.thetadot(xi)
-
     end = tau0 + tau
-    avg = _quad(lambda xi: (end - xi) * speed(xi), tau0, end) / tau
-    rate = (_quad(speed, tau0, end) - avg) / tau
+    traj = ParamTrajectory.from_geodesic(geodesic, (tau0, end))
+    avg = _quad(lambda xi: (end - xi) * _speed(metric, traj, xi), tau0, end) / tau
+    rate = (thermodynamic_length(metric, traj) - avg) / tau
     return avg, rate
+
+
+class LaunchPoint(NamedTuple):
+    """Entropic speed v_E, rate r_E = v_E^2 and IGC slope dC/dtau = v_E / 2
+    at a geodesic's launch point; all three are constant along it."""
+
+    v_E: float
+    r_E: float
+    igc_rate: float
 
 
 def launch_speed_and_rate(
     scheme: DrivingScheme, theta0: float, thetadot0: float
-) -> tuple[float, float]:
-    """Closed-form entropic speed v_E = (2 gamma/hbar) * shape(theta0) *
-    thetadot0 and rate r_E = v_E^2 at the launch point, both constant
-    along the geodesic."""
-    v = 2.0 * scheme.gamma / scheme.hbar * scheme.shape(theta0) * thetadot0
-    return v, v**2
+) -> LaunchPoint:
+    """The metric route: v_E = sqrt(g(theta0)) * thetadot0 and
+    r_E = g(theta0) * thetadot0^2.  It builds no geodesic, so it stays
+    defined past the oscillating intensity's turning points."""
+    if theta0 < 0:
+        raise DomainError(f"theta0={theta0} must be nonnegative")
+    return _launch(fisher_closed_form(scheme), theta0, thetadot0)
 
 
-def igc_asymptotic_slope(
+def _launch(metric: MetricField, theta0: float, thetadot0: float) -> LaunchPoint:
+    g = metric.g(theta0)
+    v = math.sqrt(g) * thetadot0
+    return LaunchPoint(v_E=v, r_E=g * thetadot0 * thetadot0, igc_rate=0.5 * v)
+
+
+def launch_from_shape(
     scheme: DrivingScheme, theta0: float, thetadot0: float
-) -> float:
-    """Closed-form dC/dtau = (gamma/hbar) * thetadot0 * shape(theta0)."""
-    return scheme.gamma / scheme.hbar * thetadot0 * scheme.shape(theta0)
+) -> LaunchPoint:
+    """The shape route: v_E = (2 gamma/hbar) * shape(theta0) * thetadot0,
+    with r_E = v_E^2 and dC/dtau = v_E / 2."""
+    v = 2.0 * scheme.gamma / scheme.hbar * scheme.shape(theta0) * thetadot0
+    return LaunchPoint(v_E=v, r_E=v**2, igc_rate=0.5 * v)
 
 
 def report(
@@ -176,26 +192,24 @@ def report(
 
     Closed form along the geodesic: the speed v and rate r = v^2 are
     constant there, so L = v tau, I = r tau, C = v tau / 2 and
-    dC/dtau = v / 2, with v and r evaluated once at xi = tau0.  The
-    quadrature routes ``thermodynamic_length``,
-    ``thermodynamic_divergence`` and ``igc`` compute the same fields for
-    any trajectory and serve as its oracle.
+    dC/dtau = v / 2, with v, r and v / 2 from ``launch_speed_and_rate``
+    at the launch point, whatever the window.  The quadrature routes
+    ``thermodynamic_length``, ``thermodynamic_divergence`` and ``igc``
+    compute the same fields for any trajectory and serve as its oracle.
     """
     if not tau > 0:
         raise DomainError(f"tau={tau} must be positive")
+    # built first: (2 gamma/hbar)^2 past the float range is the error named
     metric = fisher_closed_form(scheme)
     geo = geodesic_closed_form(scheme, xi0, theta0, thetadot0)
-    th = geo.theta(tau0)  # OutOfValidity unless xi0 <= tau0 < validity_end
+    geo.theta(tau0)  # OutOfValidity unless xi0 <= tau0 < validity_end
     if not tau0 + tau < geo.validity_end:
         raise DomainError(
             f"window [{tau0}, {tau0 + tau}] exceeds geodesic validity "
             f"(ends at {geo.validity_end})"
         )
-    g = metric.g(th)
-    thd = geo.thetadot(tau0)
-    v = math.sqrt(g) * abs(thd)
-    r = g * thd**2
+    v, r, slope = _launch(metric, theta0, thetadot0)
     return PathMetricsReport(
         v_E=v, r_E=r, length=v * tau, divergence=r * tau,
-        igc=0.5 * v * tau, igc_rate=0.5 * v, tau=tau,
+        igc=slope * tau, igc_rate=slope, tau=tau,
     )

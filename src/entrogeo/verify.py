@@ -29,7 +29,8 @@ from .pathmetrics import (
     entropy_rate_metric,
     entropy_rate_score,
     igc,
-    igc_asymptotic_slope,
+    launch_from_shape,
+    launch_speed_and_rate,
     thermodynamic_divergence,
     thermodynamic_length,
 )
@@ -284,7 +285,7 @@ def check_slope_law():
         traj = ParamTrajectory.from_geodesic(geo, (0.0, tau))
         v = entropic_speed(metric, traj, 0.0)
         assert abs(rate / v - 0.5) <= 1e-6, f"{scheme.kind}: dC/dtau != v/2"
-        slope = igc_asymptotic_slope(scheme, geo.theta0, geo.thetadot0)
+        slope = launch_from_shape(scheme, geo.theta0, geo.thetadot0).igc_rate
         assert abs(rate - slope) <= 1e-6 * max(1.0, slope)
 
 
@@ -298,8 +299,7 @@ def check_rate_ordering():
         if not chain:
             continue
         rates = {
-            s.kind: efficiency.entropy_rate_of_scheme(s, theta0, thetadot0)
-            / s.gamma**2
+            s.kind: launch_speed_and_rate(s, theta0, thetadot0).r_E / s.gamma**2
             for s in standard_schemes(lam=lam)
         }
         assert (
@@ -314,12 +314,13 @@ def check_rate_ordering():
 
 def check_efficiency_range():
     rng = np.random.default_rng(_SEED + 10)
-    for _ in range(10_000):
-        a, b = rng.uniform(1e-6, 1e6, size=2)
+    draws = rng.uniform(1e-6, 1e6, size=(10_000, 2))
+    for a, b in draws.tolist():
         lo, hi = min(a, b), max(a, b)
         assert 0.0 <= efficiency.eta1(lo, hi) <= 1.0
         assert 0.0 <= efficiency.eta2(hi, lo) <= 1.0
-        assert 0.0 <= efficiency.eta_sym(a, b) <= 1.0
+    etas = efficiency.eta_sym(draws[:, 0], draws[:, 1])
+    assert np.all((0.0 <= etas) & (etas <= 1.0))
 
 
 def check_efficiency_monotonicity():

@@ -29,7 +29,7 @@ from entrogeo import (
     geodesic_closed_form,
     igc,
 )
-from entrogeo.efficiency import entropy_rate_of_scheme
+from entrogeo.pathmetrics import launch_speed_and_rate
 from entrogeo.schemes import standard_schemes
 from entrogeo.verify import CHECKS
 
@@ -72,7 +72,7 @@ def test_10_ranking(capsys):
 
     Order preservation over random rates is `ranking-agreement`.
     """
-    rates = {s.kind: entropy_rate_of_scheme(s, 1.0, 1.0) for s in standard_schemes(lam=18.0)}
+    rates = {s.kind: launch_speed_and_rate(s, 1.0, 1.0).r_E for s in standard_schemes(lam=18.0)}
     assert (
         rates[SchemeKind.EXPONENTIAL]
         < rates[SchemeKind.POWER_LAW]

@@ -20,7 +20,8 @@ from entrogeo import (
     region_boundary_scale,
 )
 from entrogeo import cli
-from entrogeo.efficiency import check_ranking_preservation, entropy_rate_of_scheme
+from entrogeo.efficiency import check_ranking_preservation
+from entrogeo.pathmetrics import launch_speed_and_rate
 
 positive = st.floats(1e-6, 1e6)
 
@@ -122,7 +123,7 @@ class TestRanking:
     def test_rate_extends_past_oscillating_turning_point(self):
         # lam * theta0 = 18: the pointwise rate is still defined (cos(18) != 0)
         s = DrivingScheme.resonant(SchemeKind.OSCILLATING, lam=18.0)
-        r = entropy_rate_of_scheme(s, 1.0, 1.0)
+        r = launch_speed_and_rate(s, 1.0, 1.0).r_E
         expected = (2.0 * s.gamma) ** 2 * math.cos(18.0) ** 2
         assert r == pytest.approx(expected, rel=1e-12)
 

@@ -17,13 +17,13 @@ from entrogeo import (
     fisher_closed_form,
     geodesic_closed_form,
     igc,
-    igc_asymptotic_slope,
     integrated_phase,
     probability_path,
     report,
     thermodynamic_divergence,
     thermodynamic_length,
 )
+from entrogeo.pathmetrics import launch_from_shape, launch_speed_and_rate
 
 ALL_KINDS = list(SchemeKind)
 
@@ -91,8 +91,13 @@ class TestGeodesicMetrics:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_asymptotic_slope(self, kind):
         scheme = scheme_of(kind)
-        slope = igc_asymptotic_slope(scheme, 1.0, 0.1)
+        slope = launch_from_shape(scheme, 1.0, 0.1).igc_rate
         assert slope == pytest.approx(0.5 * V_E[kind], rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_metric_route_refuses_negative_theta0(self, kind):
+        with pytest.raises(DomainError, match="theta0=-0.5 must be nonnegative"):
+            launch_speed_and_rate(scheme_of(kind), -0.5, 0.1)
 
 
 class TestNonGeodesic:
