@@ -199,7 +199,8 @@ def report(
     """
     if not tau > 0:
         raise DomainError(f"tau={tau} must be positive")
-    # built first: (2 gamma/hbar)^2 past the float range is the error named
+    # built before the geodesic, so that (2 gamma/hbar)^2 past the float
+    # range is the error reported when the window is also invalid
     metric = fisher_closed_form(scheme)
     geo = geodesic_closed_form(scheme, xi0, theta0, thetadot0)
     geo.theta(tau0)  # OutOfValidity unless xi0 <= tau0 < validity_end

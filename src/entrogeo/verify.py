@@ -315,7 +315,7 @@ def check_rate_ordering():
 def check_efficiency_range():
     rng = np.random.default_rng(_SEED + 10)
     draws = rng.uniform(1e-6, 1e6, size=(10_000, 2))
-    for a, b in draws.tolist():
+    for a, b in draws:
         lo, hi = min(a, b), max(a, b)
         assert 0.0 <= efficiency.eta1(lo, hi) <= 1.0
         assert 0.0 <= efficiency.eta2(hi, lo) <= 1.0
