@@ -154,15 +154,19 @@ class TestExitCodes:
         ["crossover", "--scheme-a", "oscillating", "--bracket", "1", "1e308", "--theta0", "20"],
         ["crossover", "--scheme-a", "power_law", "--scheme-b", "exponential",
          "--bracket", "1", "1e308", "--theta0", "20"],
+        ["metrics", "--scheme", "constant", "--gamma", "1e-300", "--thetadot0", "1"],
+        ["metrics", "--scheme", "constant", "--gamma", "1e-155", "--thetadot0", "1"],
     ], ids=["metrics-exponential", "metrics-constant-gamma", "metrics-power_law",
             "table1", "geodesic-power_law", "geodesic-divergence-state",
             "metrics-validity-end-underflow", "geodesic-validity-end-underflow",
             "crossover-power-law-pole", "geodesic-nan-metric", "geodesic-theta-overflow",
-            "crossover-oscillating-u-overflow", "crossover-u-overflow"])
+            "crossover-oscillating-u-overflow", "crossover-u-overflow",
+            "metrics-launch-g-zero", "metrics-launch-g-subnormal"])
     def test_derived_overflow_is_usage_error(self, argv):
         # finite argv whose derived quantities leave the float range: an
         # overflow, an underflowed divisor (lam * thetadot0 = 0 in the
-        # validity end) or a pole ((1 + u)^-4 at u = -1); these used to
+        # validity end), a pole ((1 + u)^-4 at u = -1) or a launch-point
+        # g = (2 gamma)^2 below the smallest normal float; these used to
         # end in a traceback with exit 1.  Two geodesics never returned:
         # at lam = 1e308, g0 = inf times an underflowed m(u) = 0 is a NaN
         # metric; past an overflowed theta the solver kept stepping

@@ -99,6 +99,20 @@ class TestGeodesicMetrics:
         with pytest.raises(DomainError, match="theta0=-0.5 must be nonnegative"):
             launch_speed_and_rate(scheme_of(kind), -0.5, 0.1)
 
+    @pytest.mark.parametrize("gamma", [1e-300, 1e-155], ids=["zero", "subnormal"])
+    def test_metric_route_refuses_underflowed_g(self, gamma):
+        # g = (2 gamma)^2 is 0 or subnormal, while the shape route's
+        # 2 gamma * thetadot0 is still a normal float
+        scheme = DrivingScheme(kind=SchemeKind.CONSTANT, gamma=gamma)
+        with pytest.raises(OverflowError, match="below the smallest normal float"):
+            launch_speed_and_rate(scheme, 1.0, 1.0)
+        with pytest.raises(OverflowError, match="below the smallest normal float"):
+            report(scheme, 1.0, 1.0, 1.0)
+
+    def test_metric_route_keeps_smallest_normal_g(self):
+        scheme = DrivingScheme(kind=SchemeKind.CONSTANT, gamma=0.5 * math.sqrt(2.0**-1022))
+        assert launch_speed_and_rate(scheme, 1.0, 1.0).r_E == 2.0**-1022
+
 
 class TestNonGeodesic:
     def test_cauchy_schwarz_strict_for_reparametrization(self):
@@ -262,6 +276,22 @@ class TestReportWindow:
     def test_tau0_at_or_past_validity(self, tau0):
         with pytest.raises(OutOfValidity):
             report(self.SCHEME, 1.0, 0.1, 1.0, tau0=tau0)
+
+    @pytest.mark.parametrize("xi0,tau0,text", [
+        (0.0, 20.0, "xi outside [0.0, 20.0) for exponential geodesic"),
+        (0.25, 0.1, "xi outside [0.25, 20.25) for exponential geodesic"),
+        (0.0, math.nan, "xi outside [0.0, 20.0) for exponential geodesic"),
+    ], ids=["at-validity-end", "before-xi0", "nan"])
+    def test_window_outside_validity_text(self, xi0, tau0, text):
+        # report() and Geodesic.theta refuse a point outside [xi0, end)
+        # with one text
+        with pytest.raises(OutOfValidity) as exc:
+            report(self.SCHEME, 1.0, 0.1, 1.0, xi0=xi0, tau0=tau0)
+        assert str(exc.value) == text
+        geo = geodesic_closed_form(self.SCHEME, xi0, 1.0, 0.1)
+        with pytest.raises(OutOfValidity) as exc:
+            geo.theta(tau0)
+        assert str(exc.value) == text
 
     @pytest.mark.parametrize("tau0", [0.5, 3.0, 19.0])
     @pytest.mark.parametrize("kind", ALL_KINDS)
