@@ -17,9 +17,7 @@ import math
 import os
 import sys
 import tempfile
-from typing import Iterable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import __version__, efficiency, pathmetrics
 from .errors import (
@@ -41,6 +39,9 @@ from .geometry import (
     shape_factor,
 )
 from .schemes import DrivingScheme, SchemeKind, standard_schemes
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -124,6 +125,7 @@ def _format_rows(*columns: np.ndarray) -> list[str]:
 
     Raises OverflowError, before any text is made, if a cell is nan or inf.
     """
+    import numpy as np
     table = np.column_stack(columns)
     finite = np.isfinite(table)
     if not finite.all():
@@ -198,6 +200,7 @@ def cmd_geodesic(args) -> int:
                          form, geo.validity_end, n_samples=args.samples)
         for form in GeodesicFormulation
     )
+    import numpy as np
     theta_cf = np.asarray(geo.theta(num_c.xi))
     thetadot_cf = np.asarray(geo.thetadot(num_c.xi))
     text = _csv(
@@ -220,6 +223,7 @@ def cmd_figure1(args) -> int:
     _check_range(args, "tau")
     if args.lambda_count != args.tau_count:
         raise DomainError("lambda and tau grids must have equal counts")
+    import numpy as np
     theta0 = args.theta0
     kinds = list(SchemeKind)
     # a pole or an overflow, in the grids too, is caught by the finite
@@ -263,6 +267,7 @@ def cmd_figure2(args) -> int:
     _check_range(args, "lambda")
     if args.grid_count < 2:
         raise DomainError("grid-count must be >= 2")
+    import numpy as np
     # an overflow, in the grid too, is caught by the finite check in _format_rows
     with np.errstate(all="ignore"):
         lam = np.linspace(args.lambda_start, args.lambda_stop, args.lambda_count)
@@ -329,10 +334,6 @@ def cmd_table1(args) -> int:
     ranking = efficiency.rank_schemes(schemes, args.theta0, args.thetadot0)
     expected = tuple(k.value for k in _TABLE_ORDER)
     conforms = ranking.order == expected
-    slopes = {
-        s.kind.value: pathmetrics.launch_speed_and_rate(s, args.theta0, args.thetadot0).igc_rate
-        for s in schemes
-    }
     payload = {
         "lambda": args.lam,
         "theta0": args.theta0,
@@ -344,7 +345,7 @@ def cmd_table1(args) -> int:
                 "eta1": e.eta1,
                 "eta2": e.eta2,
                 "eta_sym": e.eta_sym,
-                "igc_slope": slopes[e.label],
+                "igc_slope": e.igc_slope,
             }
             for e in ranking.entries
         ],

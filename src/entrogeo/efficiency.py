@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from ._ode import brentq
 from .errors import DomainError, NoSignChange, RootFailure
 from .geometry import metric_factor, metric_scale
@@ -61,6 +59,7 @@ def eta_sym(r_l, r_m):
             raise DomainError(f"rates must be nonnegative, got ({r_l}, {r_m})")
         total = r_l + r_m
         return 1.0 - abs(r_l - r_m) / total if total else 1.0
+    import numpy as np
     r_l, r_m = np.asarray(r_l, dtype=float), np.asarray(r_m, dtype=float)
     if (r_l < 0).any() or (r_m < 0).any():
         raise DomainError("rates must be nonnegative")
@@ -76,6 +75,7 @@ class RankedEntry:
     eta1: float
     eta2: float
     eta_sym: float
+    igc_slope: float
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,8 @@ def rank_schemes(
     """Rank schemes by entropic efficiency at shared (theta0, thetadot0)."""
     if len(schemes) < 2:
         raise DomainError("ranking needs at least two schemes")
-    rates = [launch_speed_and_rate(s, theta0, thetadot0).r_E for s in schemes]
+    points = [launch_speed_and_rate(s, theta0, thetadot0) for s in schemes]
+    rates = [p.r_E for p in points]
     r_min, r_max = min(rates), max(rates)
     labels = []
     for i, s in enumerate(schemes):
@@ -117,8 +118,9 @@ def rank_schemes(
         RankedEntry(
             label=lab, r_E=r,
             eta1=eta1(r, r_max), eta2=eta2(r, r_min), eta_sym=eta_sym(r, r_min),
+            igc_slope=p.igc_rate,
         )
-        for lab, r in zip(labels, rates)
+        for lab, r, p in zip(labels, rates, points)
     )
     # Descending eta_sym == ascending r_E; stable sort keeps input order on ties.
     ordered = sorted(entries, key=lambda e: -e.eta_sym)

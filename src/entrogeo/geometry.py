@@ -17,11 +17,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
-import numpy as np
-
-from ._ode import TOO_SMALL_STEP, rk45
 from .errors import (
     DegenerateDistribution,
     DomainError,
@@ -30,6 +27,9 @@ from .errors import (
     StepFailure,
 )
 from .schemes import PROFILES, DrivingScheme, ProbabilityPath, SchemeKind
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _METRIC_FLOOR = 1e-12
 _ODE_TOL = 1e-10  # rtol and atol of the geodesic integration
@@ -63,11 +63,13 @@ def metric_scale(gamma, hbar=1.0):
 
 def metric_factor(kind, u):
     """m(u) = g/g0 at u = lam * theta, elementwise with numpy."""
+    import numpy as np
     return PROFILES[kind].m(np, u)
 
 
 def shape_factor(kind, u):
     """Intensity shape w(u) = intensity/gamma, elementwise with numpy."""
+    import numpy as np
     return PROFILES[kind].w(np, u)
 
 
@@ -118,24 +120,31 @@ class Geodesic:
     thetadot0: float
     validity_end: float
 
+    def check_window(self, xi: float) -> None:
+        """Raise OutOfValidity unless xi0 <= xi < validity_end; NaN is outside."""
+        if not self.xi0 <= xi < self.validity_end:
+            raise OutOfValidity(
+                f"xi outside [{self.xi0}, {self.validity_end}) for "
+                f"{self.scheme.kind.value} geodesic"
+            )
+
     def _eval(self, form, xi):
+        import numpy as np
         # Scalars skip the array conversion, but both paths call numpy's
         # elementwise kernels: where numpy uses SIMD arcsin/log1p,
         # math.asin/log1p round some inputs differently, and theta(xi)
         # must not depend on whether xi came in an array.
         args = (np, self.scheme.u_scale, self.theta0, self.thetadot0)
         if isinstance(xi, (float, int)):
-            if self.xi0 <= xi < self.validity_end:
-                return float(form(*args, xi - self.xi0))
-        else:
-            xi = np.asarray(xi, dtype=float)
-            if not (np.any(xi < self.xi0) or np.any(xi >= self.validity_end)):
-                out = form(*args, xi - self.xi0)
-                return out if out.ndim else float(out)
-        raise OutOfValidity(
-            f"xi outside [{self.xi0}, {self.validity_end}) for "
-            f"{self.scheme.kind.value} geodesic"
-        )
+            self.check_window(xi)
+            return float(form(*args, xi - self.xi0))
+        xi = np.asarray(xi, dtype=float)
+        # a NaN entry passes: numpy's comparisons are false for it
+        outside = (xi < self.xi0) | (xi >= self.validity_end)
+        if outside.any():
+            self.check_window(float(xi[outside][0]))
+        out = form(*args, xi - self.xi0)
+        return out if out.ndim else float(out)
 
     def theta(self, xi):
         return self._eval(PROFILES[self.scheme.kind].theta, xi)
@@ -173,6 +182,7 @@ class SampledGeodesic:
 
     @cached_property
     def thetadot(self) -> np.ndarray:
+        import numpy as np
         if self.formulation is GeodesicFormulation.CHRISTOFFEL:
             return self.state
         return self.state / np.array([self.g(t) for t in self.theta])
@@ -198,6 +208,10 @@ def geodesic_numeric(
     the float range, or a theta that overflows along the path raises
     OverflowError.
     """
+    import numpy as np
+
+    from ._rk45 import TOO_SMALL_STEP, rk45
+
     formulation = GeodesicFormulation(formulation)
     if theta0 <= 0 or thetadot0 <= 0:
         raise DomainError("geodesics require theta0 > 0 and thetadot0 > 0")

@@ -15,6 +15,7 @@ underlying probability path; agreement of the two routes is a key check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -166,6 +167,9 @@ def launch_speed_and_rate(
 
 def _launch(metric: MetricField, theta0: float, thetadot0: float) -> LaunchPoint:
     g = metric.g(theta0)
+    if g < sys.float_info.min:
+        # 0 or subnormal: sqrt(g) has lost digits that the shape route keeps
+        raise OverflowError(f"g({theta0}) = {g} is below the smallest normal float")
     v = math.sqrt(g) * thetadot0
     return LaunchPoint(v_E=v, r_E=g * thetadot0 * thetadot0, igc_rate=0.5 * v)
 
@@ -203,7 +207,7 @@ def report(
     # range is the error reported when the window is also invalid
     metric = fisher_closed_form(scheme)
     geo = geodesic_closed_form(scheme, xi0, theta0, thetadot0)
-    geo.theta(tau0)  # OutOfValidity unless xi0 <= tau0 < validity_end
+    geo.check_window(tau0)
     if not tau0 + tau < geo.validity_end:
         raise DomainError(
             f"window [{tau0}, {tau0 + tau}] exceeds geodesic validity "

@@ -1,6 +1,9 @@
 """Cold start: no subcommand loads scipy, nor the sympy/mpmath test
 oracles: ``metrics`` is closed form, ``geodesic`` and ``crossover`` run the
-package's own RK45 and brentq, and ``verify`` its own quadrature.
+package's own RK45 and brentq, and ``verify`` its own quadrature.  Only the
+subcommands that build arrays (``geodesic``, ``figure1``, ``figure2`` and
+``verify``) load numpy; the scalar ones and argv refused before any array
+is built start without it.
 
 Each case runs in a fresh interpreter, since a module stays in
 ``sys.modules`` once any test in this process has imported it.
@@ -62,6 +65,27 @@ def test_scipy_not_loaded(code):
     res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[]"
+
+
+NUMPY_FREE = {
+    **{name: CASES[name] for name in (
+        "import entrogeo", "import entrogeo.cli", "--version", "table1", "crossover",
+        "metrics constant", "metrics oscillating", "metrics power_law", "metrics exponential",
+        "metrics shifted window", "domain error")},
+    # lam * theta0 = 3 is past the oscillating turning point
+    "geodesic domain error": _CLI_CASE.format(
+        argv=["geodesic", "--scheme", "oscillating", "--lambda", "1", "--theta0", "3"], rc=2),
+    "figure1 domain error": _CLI_CASE.format(
+        argv=["figure1", "--lambda-count", "1", "--tau-count", "1"], rc=2),
+}
+
+
+@pytest.mark.parametrize("code", NUMPY_FREE.values(), ids=NUMPY_FREE.keys())
+def test_numpy_not_loaded(code):
+    probe = code + "\nimport sys\nprint('numpy' in sys.modules)\n"
+    res = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_verify_runs_without_scipy():

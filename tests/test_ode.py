@@ -20,7 +20,8 @@ from entrogeo import (
     geodesic_closed_form,
     geodesic_numeric,
 )
-from entrogeo._ode import TOO_SMALL_STEP, brentq, rk45
+from entrogeo._ode import brentq
+from entrogeo._rk45 import TOO_SMALL_STEP, rk45
 from entrogeo.schemes import PROFILES
 
 TOL = 1e-10  # the geodesic integration's rtol and atol
