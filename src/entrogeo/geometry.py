@@ -134,17 +134,17 @@ class Geodesic:
         # elementwise kernels: where numpy uses SIMD arcsin/log1p,
         # math.asin/log1p round some inputs differently, and theta(xi)
         # must not depend on whether xi came in an array.
-        args = (np, self.scheme.u_scale, self.theta0, self.thetadot0)
-        if isinstance(xi, (float, int)):
+        scalar = isinstance(xi, (float, int))
+        if scalar:
             self.check_window(xi)
-            return float(form(*args, xi - self.xi0))
-        xi = np.asarray(xi, dtype=float)
-        # a NaN entry passes: numpy's comparisons are false for it
-        outside = (xi < self.xi0) | (xi >= self.validity_end)
-        if outside.any():
-            self.check_window(float(xi[outside][0]))
-        out = form(*args, xi - self.xi0)
-        return out if out.ndim else float(out)
+        else:
+            xi = np.asarray(xi, dtype=float)
+            # a NaN entry passes: numpy's comparisons are false for it
+            outside = (xi < self.xi0) | (xi >= self.validity_end)
+            if outside.any():
+                self.check_window(float(xi[outside][0]))
+        out = form(np, self.scheme.u_scale, self.theta0, self.thetadot0, xi - self.xi0)
+        return float(out) if scalar or not out.ndim else out
 
     def theta(self, xi):
         return self._eval(PROFILES[self.scheme.kind].theta, xi)
