@@ -184,6 +184,21 @@ class TestExitCodes:
                               "(theta overflowed along the geodesic)\n")
         assert res.stdout == ""
 
+    @pytest.mark.parametrize("argv,gamma", [
+        (["metrics", "--scheme", "constant", "--gamma", "1e308", "--thetadot0", "1e-300"],
+         "1e+308"),
+        (["metrics", "--scheme", "power_law", "--lambda", "1e308", "--tau", "1e-160",
+          "--tau0", "5e-324"], "1.5707963267948966e+308"),
+    ], ids=["constant-gamma", "power_law-resonant-gamma"])
+    def test_overflowed_metric_scale_is_named(self, argv, gamma):
+        # 2 gamma/hbar = inf, and inf ** 2 does not raise: these exited 2
+        # only because the JSON writer refused a NaN or inf result
+        res = run(*argv)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stderr == ("error: a derived quantity left the float range (g0 = "
+                              f"(2*gamma/hbar)^2 is not finite at gamma = {gamma}, hbar = 1.0)\n")
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("argv", [
         ["figure2", "--thetadot0", "1e300"],
         ["figure1", "--tau-start=-1.7e308", "--tau-stop", "1.7e308"],

@@ -49,6 +49,13 @@ class TestFisher:
             fd = (metric.g(th + h) - metric.g(th - h)) / (2 * h)
             assert metric.dg_dtheta(th) == pytest.approx(fd, abs=1e-6, rel=1e-6)
 
+    @pytest.mark.parametrize("gamma,hbar", [(1e308, 1.0), (1.0, 1e-308)])
+    def test_overflowed_scale_is_refused(self, gamma, hbar):
+        # (2 gamma/hbar)^2 is inf without ** raising: inf ** 2 is inf
+        scheme = DrivingScheme(kind=SchemeKind.CONSTANT, gamma=gamma, hbar=hbar)
+        with pytest.raises(OverflowError, match=r"g0 = \(2\*gamma/hbar\)\^2 is not finite"):
+            fisher_closed_form(scheme)
+
     def test_numeric_rejects_degenerate_point(self):
         s = DrivingScheme(kind=SchemeKind.CONSTANT, gamma=1.0)
         path = probability_path(s)
