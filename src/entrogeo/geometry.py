@@ -74,8 +74,15 @@ def shape_factor(kind, u):
 
 
 def fisher_closed_form(scheme: DrivingScheme) -> MetricField:
-    """Closed-form Fisher information g = (2*gamma/hbar)^2 * shape^2."""
+    """Closed-form Fisher information g = (2*gamma/hbar)^2 * shape^2.
+
+    Raises OverflowError if g0 = (2*gamma/hbar)^2 is not finite: ** raises
+    only on its own overflow, and an inf 2*gamma/hbar squares to inf.
+    """
     g0 = metric_scale(scheme.gamma, scheme.hbar)
+    if not math.isfinite(g0):
+        raise OverflowError(f"g0 = (2*gamma/hbar)^2 is not finite at gamma = "
+                            f"{scheme.gamma!r}, hbar = {scheme.hbar!r}")
     lam = scheme.u_scale
     profile = PROFILES[scheme.kind]
     return MetricField(
@@ -232,7 +239,7 @@ def geodesic_numeric(
     g_start = metric.g(theta0)
     dg_start = metric.dg_dtheta(theta0)
     if not (math.isfinite(g_start) and math.isfinite(dg_start)):
-        # such as g0 = inf times an underflowed m = 0; a NaN first
+        # such as an inf factor of g times an underflowed one; a NaN first
         # derivative makes RK45's first step NaN, and it never returns
         raise OverflowError(f"g({theta0}) = {g_start}, dg/dtheta = {dg_start}: not finite")
     # an underflowed g(theta0) = 0 gives floor 0, which g = 0 does not pass
