@@ -42,7 +42,8 @@ def _geodesic_rhs(metric, form):
 
 
 @st.composite
-def geodesic_problems(draw):
+def geodesic_launches(draw):
+    """(metric, formulation, theta0, thetadot0, xi_end, n_samples)."""
     kind = draw(st.sampled_from(list(SchemeKind)))
     form = draw(st.sampled_from(list(GeodesicFormulation)))
     lam = draw(st.floats(0.1, 2.0))
@@ -53,10 +54,19 @@ def geodesic_problems(draw):
     scheme = DrivingScheme.resonant(kind, lam=lam)
     geo = geodesic_closed_form(scheme, 0.0, theta0, thetadot0)
     xi_end = min(1.0, 0.5 * geo.validity_end)
-    metric = fisher_closed_form(scheme)
+    return fisher_closed_form(scheme), form, theta0, thetadot0, xi_end, n_samples
+
+
+def _ivp_problem(launch):
+    """(rhs, xi_end, y0, t_eval) of geodesic_numeric's integration."""
+    metric, form, theta0, thetadot0, xi_end, n_samples = launch
     y0 = [theta0, thetadot0 if form is GeodesicFormulation.CHRISTOFFEL
           else metric.g(theta0) * thetadot0]
     return _geodesic_rhs(metric, form), xi_end, y0, np.linspace(0.0, xi_end, n_samples)
+
+
+def geodesic_problems():
+    return geodesic_launches().map(_ivp_problem)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -69,6 +79,39 @@ def test_rk45_matches_solve_ivp(problem):
     assert np.array_equal(got.t, ref.t)
     assert np.array_equal(got.y, ref.y)
     assert got.nfev == ref.nfev
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(launch=geodesic_launches())
+def test_geodesic_numeric_matches_solve_ivp(launch):
+    # geodesic_numeric itself, guards and all, against the mirror rhs
+    rhs, xi_end, y0, grid = _ivp_problem(launch)
+    ref = solve_ivp(rhs, (0.0, xi_end), y0, method="RK45", rtol=TOL, atol=TOL, t_eval=grid)
+    metric, form, theta0, thetadot0, _, n_samples = launch
+    got = geodesic_numeric(metric, 0.0, theta0, thetadot0, xi_end, form, n_samples=n_samples)
+    assert ref.success
+    assert np.array_equal(got.xi, ref.t)
+    assert np.array_equal(got.theta, ref.y[0])
+    assert np.array_equal(got.state, ref.y[1])
+
+
+@pytest.mark.parametrize("rhs,nfev,success", [
+    # d1 = inf, so the initial step h0 is 0 and d2 divides 0 by it; the
+    # run ends with success and an all-NaN y
+    (lambda t, y: [1e308], 1946, True),
+    (lambda t, y: [1.0 if t <= 0.5 else math.inf], 614, False),
+    (lambda t, y: [1.0 if t <= 0.5 else math.nan], 614, False),
+], ids=["overflowed-first-step", "inf-past-half", "nan-past-half"])
+def test_rk45_leaving_the_float_range_matches_solve_ivp(rhs, nfev, success):
+    # the step control divides by numpy scalars: inf or nan, not an exception
+    grid = np.linspace(0.0, 1.0, 11)
+    with np.errstate(all="ignore"):
+        ref = solve_ivp(rhs, (0.0, 1.0), [1.0], method="RK45", rtol=TOL, atol=TOL, t_eval=grid)
+        got = rk45(rhs, 0.0, 1.0, [1.0], grid, TOL)
+    assert got.success is ref.success is success
+    assert got.nfev == ref.nfev == nfev
+    assert np.array_equal(got.t, ref.t)
+    assert np.array_equal(got.y, ref.y, equal_nan=True)
 
 
 def test_rk45_failure_matches_solve_ivp():
