@@ -19,6 +19,7 @@ References:
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -44,6 +45,8 @@ _P = np.array([
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
 ])
+# the stages after the first: (s, A[s, :s], c_s)
+_STAGES = tuple((s, _A[s, :s], float(_C[s])) for s in range(1, len(_C)))
 _SAFETY = 0.9  # multiplies steps computed from the asymptotic error
 _MIN_FACTOR = 0.2  # smallest step decrease
 _MAX_FACTOR = 10  # largest step increase
@@ -64,7 +67,9 @@ class OdeResult(NamedTuple):
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    # np.linalg.norm's own arithmetic for a 1-D real array; a numpy
+    # scalar, so that a division by it gives inf or nan, not an exception
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, tol):
@@ -79,7 +84,7 @@ def _initial_step(fun, t0, y0, t_bound, f0, tol):
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     y1 = y0 + h0 * f0
-    f1 = fun(t0 + h0, y1)
+    f1 = np.asarray(fun(t0 + h0, y1), dtype=float)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -88,16 +93,14 @@ def _initial_step(fun, t0, y0, t_bound, f0, tol):
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One Dormand-Prince step; fills the stages K, the last row f_new."""
-    K[0] = f
-    for s, (a, c) in enumerate(zip(_A[1:], _C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
-        K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, _B)
-    f_new = fun(t + h, y_new)
-    K[-1] = f_new
-    return y_new, f_new
+def _rk_step(fun, t, y, h, K, stages, K_b):
+    """One Dormand-Prince step from the first stage K[0]: fills K[1:],
+    f_new in the last row, and returns y_new."""
+    for s, K_s, a, c in stages:
+        K[s] = fun(t + c * h, y + np.dot(K_s, a) * h)
+    y_new = y + h * np.dot(K_b, _B)
+    K[-1] = fun(t + h, y_new)
+    return y_new
 
 
 def rk45(fun: Callable, t0: float, t_bound: float, y0, t_eval: np.ndarray, tol: float) -> OdeResult:
@@ -113,19 +116,18 @@ def rk45(fun: Callable, t0: float, t_bound: float, y0, t_eval: np.ndarray, tol: 
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    nfev = 0
-
-    def f(t, y):
-        nonlocal nfev
-        nfev += 1
-        return np.asarray(fun(t, y), dtype=float)
-
-    fy = f(t, y)
-    h_abs = _initial_step(f, t, y, t_bound, fy, tol)
+    fy = np.asarray(fun(t, y), dtype=float)
+    h_abs = _initial_step(fun, t, y, t_bound, fy, tol)
+    nfev = 2  # f(t0) and the initial step's trial
+    # row s of K is stage s; the first stage of a step is the last of the
+    # step before it
     K = np.empty((len(_C) + 1, y.size), dtype=y.dtype)
+    K[0] = fy
+    stages = tuple((s, K[:s].T, a, c) for s, a, c in _STAGES)
+    K_b, K_t = K[:-1].T, K.T
     ts, ys, i_eval = [], [], 0
     while True:
-        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if h_abs < min_step:
             h_abs = min_step
         accepted = rejected = False
@@ -137,10 +139,11 @@ def rk45(fun: Callable, t0: float, t_bound: float, y0, t_eval: np.ndarray, tol: 
             if t_new - t_bound > 0:
                 t_new = t_bound
             h = t_new - t
-            h_abs = np.abs(h)
-            y_new, f_new = _rk_step(f, t, y, fy, h, K)
+            h_abs = abs(h)
+            y_new = _rk_step(fun, t, y, h, K, stages, K_b)
+            nfev += 6
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-            error_norm = _rms(np.dot(K.T, _E) * h / scale)
+            error_norm = _rms(np.dot(K_t, _E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
@@ -154,17 +157,20 @@ def rk45(fun: Callable, t0: float, t_bound: float, y0, t_eval: np.ndarray, tol: 
                 h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
                 rejected = True
         t_old, y_old = t, y
-        t, y, fy = t_new, y_new, f_new
+        t, y = t_new, y_new
 
         # the points of t_eval this step passed, t included, from the
         # step's dense output
         i_new = np.searchsorted(t_eval, t, side="right")
-        t_step = t_eval[i_eval:i_new]
-        if t_step.size > 0:
-            Q = K.T.dot(_P)
+        if i_new > i_eval:
+            t_step = t_eval[i_eval:i_new]
+            Q = K_t.dot(_P)
             h = t - t_old
-            x = (t_step - t_old) / h
-            p = np.cumprod(np.tile(x, (Q.shape[1], 1)), axis=0)
+            # rows x, x^2, x^3, x^4
+            p = np.empty((Q.shape[1], t_step.size))
+            np.divide(t_step - t_old, h, out=p[0])
+            for k in range(1, len(p)):
+                np.multiply(p[k - 1], p[0], out=p[k])
             y_step = h * np.dot(Q, p)
             y_step += y_old[:, None]
             ts.append(t_step)
@@ -172,3 +178,4 @@ def rk45(fun: Callable, t0: float, t_bound: float, y0, t_eval: np.ndarray, tol: 
             i_eval = i_new
         if t - t_bound >= 0:
             return OdeResult(np.hstack(ts), np.hstack(ys), True, nfev)
+        K[0] = K[-1]

@@ -257,9 +257,11 @@ def geodesic_numeric(
             raise MetricDegenerate(f"g({theta}) = {g} at or below the positivity floor {floor}")
         return g
 
+    # the right-hand sides run on Python floats, which round as numpy's
+    # do; the guard has refused g <= floor before g divides
     if formulation is GeodesicFormulation.CHRISTOFFEL:
         def rhs(xi, y):
-            th, thd = y
+            th, thd = y.tolist()
             g = guard(th)
             return [thd, -0.5 * metric.dg_dtheta(th) / g * thd * thd]
 
@@ -267,7 +269,7 @@ def geodesic_numeric(
     else:
         # State (theta, m) with m = g * thetadot.
         def rhs(xi, y):
-            th, m = y
+            th, m = y.tolist()
             g = guard(th)
             thd = m / g
             return [thd, 0.5 * metric.dg_dtheta(th) * thd * thd]
