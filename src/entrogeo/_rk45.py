@@ -1,10 +1,18 @@
 """The Dormand-Prince RK45 integrator of ``scipy.integrate.solve_ivp``,
 ported with numpy.
 
-The port does scipy's arithmetic with the same numpy calls in the same
-order, so it returns scipy's bits; that was shown against scipy 1.17.1
-(tests/test_ode.py compares them over drawn inputs), and the golden
-corpus stays the byte gate.  Only what the library uses is kept: forward
+The port does scipy's float operations in the same order, so it returns
+scipy's bits; that was shown against scipy 1.17.1 (tests/test_ode.py
+compares them over drawn inputs), and the golden corpus stays the byte
+gate.  Two kinds of call stay numpy's, where plain Python would change
+a result:
+- the four sums (the stage sums, the new solution, the error estimate
+  and the dense output's Q.p) stay ``np.dot``: OpenBLAS may fuse or
+  reorder their products, so a Python sum differs in the last bit, and
+  Python 3.11 has no ``math.fma`` to do as it does;
+- the step control divides by numpy scalars: a step estimate of 0 or
+  inf then gives inf or nan, as in scipy, where a Python float
+  division by zero raises.  Only what the library uses is kept: forward
 integration with ``t_eval`` and no events.  It is the one solver of the
 package that needs numpy, so it lives apart from the scalar solvers in
 ``_ode`` and is imported only where a geodesic is integrated.
@@ -116,13 +124,12 @@ def rk45(fun: Callable, t0: float, t_bound: float, y0, t_eval: np.ndarray, tol: 
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    fy = np.asarray(fun(t, y), dtype=float)
-    h_abs = _initial_step(fun, t, y, t_bound, fy, tol)
-    nfev = 2  # f(t0) and the initial step's trial
     # row s of K is stage s; the first stage of a step is the last of the
     # step before it
     K = np.empty((len(_C) + 1, y.size), dtype=y.dtype)
-    K[0] = fy
+    K[0] = fun(t, y)
+    h_abs = _initial_step(fun, t, y, t_bound, K[0], tol)
+    nfev = 2  # f(t0) and the initial step's trial
     stages = tuple((s, K[:s].T, a, c) for s, a, c in _STAGES)
     K_b, K_t = K[:-1].T, K.T
     ts, ys, i_eval = [], [], 0
@@ -141,7 +148,7 @@ def rk45(fun: Callable, t0: float, t_bound: float, y0, t_eval: np.ndarray, tol: 
             h = t_new - t
             h_abs = abs(h)
             y_new = _rk_step(fun, t, y, h, K, stages, K_b)
-            nfev += 6
+            nfev += 6  # five stages and f_new
             scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
             error_norm = _rms(np.dot(K_t, _E) * h / scale)
             if error_norm < 1:
