@@ -4,18 +4,20 @@ ported with numpy.
 The port does scipy's float operations in the same order, so it returns
 scipy's bits; that was shown against scipy 1.17.1 (tests/test_ode.py
 compares them over drawn inputs), and the golden corpus stays the byte
-gate.  Two kinds of call stay numpy's, where plain Python would change
-a result:
+gate.  Only what the library uses is kept: forward integration with
+``t_eval`` and no events.  It is the one solver of the package that
+needs numpy, so it lives apart from the scalar solvers in ``_ode`` and
+is imported only where a geodesic is integrated.
+
+Two kinds of call stay numpy's, where plain Python would change a
+result:
 - the four sums (the stage sums, the new solution, the error estimate
   and the dense output's Q.p) stay ``np.dot``: OpenBLAS may fuse or
   reorder their products, so a Python sum differs in the last bit, and
   Python 3.11 has no ``math.fma`` to do as it does;
 - the step control divides by numpy scalars: a step estimate of 0 or
   inf then gives inf or nan, as in scipy, where a Python float
-  division by zero raises.  Only what the library uses is kept: forward
-integration with ``t_eval`` and no events.  It is the one solver of the
-package that needs numpy, so it lives apart from the scalar solvers in
-``_ode`` and is imported only where a geodesic is integrated.
+  division by zero raises.
 
 References:
 - J. R. Dormand, P. J. Prince, "A family of embedded Runge-Kutta
