@@ -1,4 +1,5 @@
 """Efficiency measures, scheme ranking, and rate crossovers."""
+import json
 import math
 
 import mpmath
@@ -58,6 +59,16 @@ class TestMeasures:
             eta2(0.5, 1.0)
         with pytest.raises(DomainError):
             eta_sym(-1.0, 1.0)
+
+    @pytest.mark.parametrize("measure, args", [
+        (eta_sym, (1, 3)), (eta_sym, (1, 3.0)), (eta_sym, (0, 0)),
+        (eta1, (1, 4)), (eta1, (1.0, 3)), (eta2, (4, 1)), (eta2, (3, 2.0)),
+    ], ids=lambda x: getattr(x, "__name__", repr(x)))
+    def test_python_ints_take_the_float_path(self, measure, args):
+        got = measure(*args)
+        assert type(got) is float
+        assert got.hex() == measure(*map(float, args)).hex()
+        json.dumps({"eta": got})
 
 
 rate = st.one_of(st.just(0.0), st.floats(0.0, 1e308), st.just(math.nan))
