@@ -9,6 +9,12 @@ production rates r:
 
 r_min and r_max are taken from the set of rates being ranked, not from
 external ideals.  All three induce the same ordering.
+
+Each measure takes two Python floats or ints and returns a float, or
+arrays that broadcast together and returns an array with the same bits
+per entry; numpy is imported only for arrays.  Ints are converted with
+float() first.  eta1 and eta2 raise DomainError on a rate outside their
+domain, NaN included, in either form; eta_sym passes NaN through.
 """
 from __future__ import annotations
 
@@ -28,33 +34,66 @@ _BRENT_XTOL = 1e-10
 _BRENT_MAXITER = 4000
 
 
-def eta1(r: float, r_max: float) -> float:
-    """Asymmetric efficiency 1 - r/r_max."""
-    if r_max <= 0:
-        raise DomainError(f"r_max={r_max} must be positive")
-    if not (0.0 <= r <= r_max):
-        raise DomainError(f"need 0 <= r <= r_max, got r={r}, r_max={r_max}")
-    return 1.0 - r / r_max
+# a pair of these takes the scalar path, after float()
+_SCALAR = (float, int)
 
 
-def eta2(r: float, r_min: float) -> float:
-    """Asymmetric efficiency r_min/r; the coolest path scores 1."""
-    if r_min <= 0:
-        raise DomainError(f"r_min={r_min} must be positive")
-    if r < r_min:
-        raise DomainError(f"need r >= r_min, got r={r}, r_min={r_min}")
-    return r_min / r
+def eta1(r, r_max):
+    """Asymmetric efficiency 1 - r/r_max; the hottest path scores 0.
+
+    Floats or arrays, as ``eta_sym``.  Needs r_max > 0 and
+    0 <= r <= r_max; anything else, NaN included, raises DomainError.
+    """
+    if isinstance(r, _SCALAR) and isinstance(r_max, _SCALAR):
+        r, r_max = float(r), float(r_max)
+        if not r_max > 0:
+            raise DomainError(f"r_max={r_max} must be positive")
+        if not (0.0 <= r <= r_max):
+            raise DomainError(f"need 0 <= r <= r_max, got r={r}, r_max={r_max}")
+        return 1.0 - r / r_max
+    import numpy as np
+    r, r_max = np.asarray(r, dtype=float), np.asarray(r_max, dtype=float)
+    if not (r_max > 0).all():
+        raise DomainError("every r_max must be positive")
+    if not ((0.0 <= r) & (r <= r_max)).all():
+        raise DomainError("need 0 <= r <= r_max for every pair")
+    with np.errstate(all="ignore"):  # inf / inf gives NaN, as with floats
+        return 1.0 - r / r_max
+
+
+def eta2(r, r_min):
+    """Asymmetric efficiency r_min/r; the coolest path scores 1.
+
+    Floats or arrays, as ``eta_sym``.  Needs r_min > 0 and r >= r_min;
+    anything else, NaN included, raises DomainError.
+    """
+    if isinstance(r, _SCALAR) and isinstance(r_min, _SCALAR):
+        r, r_min = float(r), float(r_min)
+        if not r_min > 0:
+            raise DomainError(f"r_min={r_min} must be positive")
+        if not r >= r_min:
+            raise DomainError(f"need r >= r_min, got r={r}, r_min={r_min}")
+        return r_min / r
+    import numpy as np
+    r, r_min = np.asarray(r, dtype=float), np.asarray(r_min, dtype=float)
+    if not (r_min > 0).all():
+        raise DomainError("every r_min must be positive")
+    if not (r >= r_min).all():
+        raise DomainError("need r >= r_min for every pair")
+    with np.errstate(all="ignore"):  # inf / inf gives NaN, as with floats
+        return r_min / r
 
 
 def eta_sym(r_l, r_m):
     """Symmetric efficiency 1 - |r_l - r_m| / (r_l + r_m) of rates >= 0.
 
-    Takes two floats, or arrays that broadcast together and give an array;
-    both give the same bits for the same rates.  Two zero rates are equally
-    efficient: 0/0 gives 1.  A negative rate raises DomainError; NaN passes
-    through.
+    Takes two Python floats or ints, or arrays that broadcast together and
+    give an array; both give the same bits for the same rates.  Two zero
+    rates are equally efficient: 0/0 gives 1.  A negative rate raises
+    DomainError; NaN passes through.
     """
-    if isinstance(r_l, float) and isinstance(r_m, float):
+    if isinstance(r_l, _SCALAR) and isinstance(r_m, _SCALAR):
+        r_l, r_m = float(r_l), float(r_m)
         if r_l < 0 or r_m < 0:
             raise DomainError(f"rates must be nonnegative, got ({r_l}, {r_m})")
         total = r_l + r_m

@@ -74,18 +74,58 @@ class TestMeasures:
 rate = st.one_of(st.just(0.0), st.floats(0.0, 1e308), st.just(math.nan))
 
 
-class TestEtaSymArrays:
-    @given(pairs=st.lists(st.tuples(rate, rate), min_size=1, max_size=20))
-    def test_array_equals_scalar_bitwise(self, pairs):
-        r_l = np.array([a for a, _ in pairs])
-        r_m = np.array([b for _, b in pairs])
-        got = eta_sym(r_l, r_m)
-        assert got.shape == r_l.shape
+positive_rate = st.floats(min_value=0.0, exclude_min=True)  # inf included
+
+# (measure, rates, pair -> arguments in the measure's domain)
+ARRAY_MEASURES = {
+    "eta_sym": (eta_sym, rate, lambda a, b: (a, b)),
+    "eta1": (eta1, positive_rate, lambda a, b: (min(a, b), max(a, b))),
+    "eta2": (eta2, positive_rate, lambda a, b: (max(a, b), min(a, b))),
+}
+
+# one pair outside the measure's domain, as (measure, first, second)
+BAD_PAIRS = {
+    "eta1-r-above-r_max": (eta1, 5.0, 4.0),
+    "eta1-negative-r": (eta1, -1.0, 4.0),
+    "eta1-zero-r_max": (eta1, 0.0, 0.0),
+    "eta1-negative-r_max": (eta1, -2.0, -1.0),
+    "eta1-nan-r": (eta1, math.nan, 4.0),
+    "eta1-nan-r_max": (eta1, 1.0, math.nan),
+    "eta2-r-below-r_min": (eta2, 0.5, 1.0),
+    "eta2-zero-r_min": (eta2, 1.0, 0.0),
+    "eta2-negative-r_min": (eta2, 1.0, -1.0),
+    "eta2-nan-r": (eta2, math.nan, 1.0),
+    "eta2-nan-r_min": (eta2, 1.0, math.nan),
+}
+
+
+class TestMeasureArrays:
+    @pytest.mark.parametrize("measure, rates, order", ARRAY_MEASURES.values(),
+                             ids=ARRAY_MEASURES.keys())
+    @given(data=st.data())
+    def test_array_equals_scalar_bitwise(self, measure, rates, order, data):
+        pairs = data.draw(st.lists(
+            st.tuples(rates, rates).map(lambda p: order(*p)), min_size=1, max_size=20))
+        first = np.array([a for a, _ in pairs])
+        second = np.array([b for _, b in pairs])
+        got = measure(first, second)
+        assert got.shape == first.shape
         for (a, b), x in zip(pairs, got.tolist()):
-            want = eta_sym(a, b)
+            want = measure(a, b)
             assert (math.isnan(want) and math.isnan(x)) or (
                 np.float64(x).tobytes() == np.float64(want).tobytes()), (a, b)
 
+    @pytest.mark.parametrize("measure, a, b", BAD_PAIRS.values(), ids=BAD_PAIRS.keys())
+    def test_one_bad_entry_raises_as_scalar(self, measure, a, b):
+        with pytest.raises(DomainError):
+            measure(a, b)
+        good = (1.0, 4.0) if measure is eta1 else (4.0, 1.0)
+        with pytest.raises(DomainError):
+            measure(np.array([good[0], a, good[0]]), np.array([good[1], b, good[1]]))
+        measure(np.array([good[0]] * 3), np.array([good[1]] * 3))  # no error
+
+
+class TestEtaSymArrays:
     def test_two_zero_rates_are_equally_efficient(self):
         assert eta_sym(0.0, 0.0) == 1.0
         assert eta_sym(0.0, 5.0) == 0.0
