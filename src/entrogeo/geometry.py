@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import (
@@ -54,6 +54,14 @@ class MetricField:
     dg_dtheta: Callable[[float], float]
     source: MetricSource
     kind: Optional[SchemeKind] = None
+
+
+@cache
+def _numpy():
+    """numpy, imported on first use: a scalar geodesic evaluation is too
+    cheap to pay for an import statement on every call."""
+    import numpy
+    return numpy
 
 
 def metric_scale(gamma, hbar=1.0):
@@ -136,7 +144,7 @@ class Geodesic:
             )
 
     def _eval(self, form, xi):
-        import numpy as np
+        np = _numpy()
         # Scalars skip the array conversion, but both paths call numpy's
         # elementwise kernels: where numpy uses SIMD arcsin/log1p,
         # math.asin/log1p round some inputs differently, and theta(xi)

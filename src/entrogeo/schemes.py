@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import DomainError
@@ -172,12 +173,14 @@ class DrivingScheme:
         """Scheme with gamma = (pi/2) * hbar * lam."""
         return cls(kind=kind, lam=lam, hbar=hbar)
 
-    @property
+    # Computed on the first read and kept in the instance __dict__, which
+    # ==, hash and repr do not see; replace() builds a new instance.
+    @cached_property
     def u_scale(self) -> float:
         """lam in u = lam * theta; 1 for the constant kind, which has no lam."""
         return 1.0 if self.kind is SchemeKind.CONSTANT else self.lam
 
-    @property
+    @cached_property
     def theta_max(self) -> float:
         """Upper end of the admissible theta interval."""
         return PROFILES[self.kind].u_max / self.u_scale

@@ -1,4 +1,5 @@
 """Driving schemes, probability paths, and propagator amplitudes."""
+import dataclasses
 import math
 
 import pytest
@@ -88,6 +89,34 @@ class TestDomain:
         s = DrivingScheme(kind=SchemeKind.CONSTANT, gamma=1.0)
         with pytest.raises(DomainError):
             s.shape(-0.1)
+
+
+class TestStoredScales:
+    """u_scale and theta_max are computed once and kept on the instance."""
+
+    @pytest.mark.parametrize("kind", list(SchemeKind))
+    def test_reading_leaves_eq_hash_repr(self, kind):
+        s, fresh = DrivingScheme.resonant(kind, lam=0.7), DrivingScheme.resonant(kind, lam=0.7)
+        before = (hash(s), repr(s))
+        assert s.u_scale == (1.0 if kind is SchemeKind.CONSTANT else 0.7)
+        assert s.theta_max > 0
+        assert s == fresh
+        assert (hash(s), repr(s)) == before == (hash(fresh), repr(fresh))
+
+    def test_replace_recomputes(self):
+        s = DrivingScheme.resonant(SchemeKind.OSCILLATING, lam=0.5)
+        assert (s.u_scale, s.theta_max) == (0.5, 0.5 * math.pi / 0.5)
+        t = dataclasses.replace(s, lam=2.0)
+        assert (t.u_scale, t.theta_max) == (2.0, 0.5 * math.pi / 2.0)
+        assert (s.u_scale, s.theta_max) == (0.5, 0.5 * math.pi / 0.5)
+
+    @pytest.mark.parametrize("name", ["u_scale", "theta_max", "lam"])
+    def test_assignment_refused(self, name):
+        s = DrivingScheme.resonant(SchemeKind.EXPONENTIAL, lam=0.5)
+        s.theta_max  # read first, so a stored value exists
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, 3.0)
+        assert (s.lam, s.u_scale, s.theta_max) == (0.5, 0.5, math.inf)
 
 
 class TestPhase:
