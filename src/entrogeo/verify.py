@@ -53,7 +53,7 @@ def _random_thetas(rng, scheme: DrivingScheme, n: int, margin: float = 0.05):
     if not math.isfinite(hi):
         hi = 5.0
     lo = margin * hi
-    return rng.uniform(lo, (1.0 - margin) * hi, size=n)
+    return rng.uniform(lo, (1.0 - margin) * hi, size=n).tolist()
 
 
 # --- schemes -----------------------------------------------------------
@@ -87,16 +87,15 @@ def check_constant_period():
     path = probability_path(scheme)
     period = math.pi * scheme.hbar / scheme.gamma
     rng = np.random.default_rng(_SEED + 2)
-    for th in rng.uniform(0.0, 5.0, size=50):
+    for th in rng.uniform(0.0, 5.0, size=50).tolist():
         assert abs(path.p_w(th + period) - path.p_w(th)) <= 1e-12
 
 
 def check_amplitude_unitarity():
     rng = np.random.default_rng(_SEED + 3)
-    for _ in range(1000):
-        b = rng.uniform(-10, 10)
-        phi = rng.uniform(0, 10)
-        pw = rng.uniform(0, 2 * math.pi)
+    # row by row, the same values as 1,000 rounds of three scalar draws
+    draws = rng.uniform([-10.0, 0.0, 0.0], [10.0, 10.0, 2 * math.pi], size=(1000, 3))
+    for b, phi, pw in draws.tolist():
         pair = amplitudes(b, phi, pw)
         assert pair.unitarity_defect() <= 1e-12
 
@@ -159,7 +158,7 @@ def _launched():
 def check_geodesic_residual():
     for scheme, metric, geo, _ in _launched():
         end = min(geo.validity_end, geo.xi0 + 10.0)
-        for xi in np.linspace(geo.xi0 + 0.01, geo.xi0 + 0.9 * (end - geo.xi0), 50):
+        for xi in np.linspace(geo.xi0 + 0.01, geo.xi0 + 0.9 * (end - geo.xi0), 50).tolist():
             res = geodesic_residual(metric, geo, xi)
             assert abs(res) <= 1e-8, f"{scheme.kind}: residual {res} at xi={xi}"
 
@@ -195,7 +194,7 @@ def check_speed_constancy():
         end = min(geo.validity_end * 0.5, 2.0)
         num = geodesic_numeric(metric, geo.xi0, geo.theta0, geo.thetadot0, end,
                                validity_end=geo.validity_end)
-        v = np.sqrt([metric.g(t) for t in num.theta]) * num.thetadot
+        v = np.sqrt([metric.g(t) for t in num.theta.tolist()]) * num.thetadot
         assert np.std(v) / np.mean(v) <= 1e-7, f"{scheme.kind}: speed drift"
 
 
@@ -205,7 +204,7 @@ def check_affine_invariance():
         rescaled = geodesic_closed_form(
             scheme, a * geo.xi0 + b, geo.theta0, geo.thetadot0 / a
         )
-        for xi in np.linspace(0.0, 1.0, 17):
+        for xi in np.linspace(0.0, 1.0, 17).tolist():
             assert abs(rescaled.theta(a * xi + b) - geo.theta(xi)) <= 1e-12
 
 
@@ -262,7 +261,7 @@ def check_rate_routes():
         path = probability_path(scheme)
         traj = ParamTrajectory.from_geodesic(geo, (0.0, tau))
         n = 0
-        for xi in rng.uniform(0.0, tau, size=400):
+        for xi in rng.uniform(0.0, tau, size=400).tolist():
             th = geo.theta(xi)
             pw, pp = path.probabilities(th)
             if min(pw, pp) < 1e-3:
@@ -291,7 +290,7 @@ def check_slope_law():
 
 def check_rate_ordering():
     theta0, thetadot0 = 1.0, 0.1
-    for lam in np.linspace(0.1, 30.0, 120):
+    for lam in np.linspace(0.1, 30.0, 120).tolist():
         u = lam * theta0
         # Chain holds only where it is claimed: cos(u) must be positive
         # for the oscillating geodesic to exist at theta0.
@@ -315,12 +314,13 @@ def check_rate_ordering():
 def check_efficiency_range():
     rng = np.random.default_rng(_SEED + 10)
     draws = rng.uniform(1e-6, 1e6, size=(10_000, 2))
-    for a, b in draws:
-        lo, hi = min(a, b), max(a, b)
-        assert 0.0 <= efficiency.eta1(lo, hi) <= 1.0
-        assert 0.0 <= efficiency.eta2(hi, lo) <= 1.0
-    etas = efficiency.eta_sym(draws[:, 0], draws[:, 1])
-    assert np.all((0.0 <= etas) & (etas <= 1.0))
+    lo, hi = draws.min(axis=1), draws.max(axis=1)
+    for etas in (
+        efficiency.eta1(lo, hi),
+        efficiency.eta2(hi, lo),
+        efficiency.eta_sym(draws[:, 0], draws[:, 1]),
+    ):
+        assert np.all((0.0 <= etas) & (etas <= 1.0))
 
 
 def check_efficiency_monotonicity():
@@ -356,7 +356,7 @@ def check_entropy_curve():
     assert thermo.entropy_of_energy(ens, ens.u_max) == 0.0
     assert thermo.entropy_of_energy(ens, -ens.u_max) == 0.0
     grid = np.linspace(-ens.u_max, ens.u_max, 1000)
-    sig = np.array([thermo.entropy_of_energy(ens, u) for u in grid])
+    sig = np.array([thermo.entropy_of_energy(ens, u) for u in grid.tolist()])
     assert np.all(np.diff(sig, 2) < 0.0), "sigma not concave"
     assert np.max(np.abs(sig - sig[::-1])) <= 1e-14, "sigma not symmetric"
 
@@ -364,7 +364,7 @@ def check_entropy_curve():
 def check_gibbs_fisher():
     ens = thermo.TwoLevelEnsemble(epsilon=1.0)
     h = 1e-6
-    for beta in np.linspace(-2.0, 2.0, 41):
+    for beta in np.linspace(-2.0, 2.0, 41).tolist():
         var = thermo.energy_variance(ens, beta)
         p_hi = thermo.gibbs_probabilities(ens, beta + h)
         p_lo = thermo.gibbs_probabilities(ens, beta - h)
