@@ -17,9 +17,8 @@ in u = lam * theta (lam := 1 for the constant kind).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import DomainError
@@ -153,6 +152,12 @@ class DrivingScheme:
     gamma: Optional[float] = None
     lam: Optional[float] = None
     hbar: float = 1.0
+    # Derived once in __post_init__, as the scalar paths read them on every
+    # call; ==, hash and repr leave them out.
+    # u_scale is lam in u = lam * theta, 1 for the constant kind (no lam);
+    # theta_max is the upper end of the admissible theta interval.
+    u_scale: float = field(init=False, repr=False, compare=False)
+    theta_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kind = SchemeKind(self.kind)
@@ -167,23 +172,14 @@ class DrivingScheme:
             object.__setattr__(self, "gamma", resonant_gamma(self.lam, self.hbar))
         if not (self.gamma > 0 and math.isfinite(self.gamma)):
             raise ValueError("gamma must be positive and finite")
+        u_scale = 1.0 if kind is SchemeKind.CONSTANT else self.lam
+        object.__setattr__(self, "u_scale", u_scale)
+        object.__setattr__(self, "theta_max", PROFILES[kind].u_max / u_scale)
 
     @classmethod
     def resonant(cls, kind, lam: float, hbar: float = 1.0) -> "DrivingScheme":
         """Scheme with gamma = (pi/2) * hbar * lam."""
         return cls(kind=kind, lam=lam, hbar=hbar)
-
-    # Computed on the first read and kept in the instance __dict__, which
-    # ==, hash and repr do not see; replace() builds a new instance.
-    @cached_property
-    def u_scale(self) -> float:
-        """lam in u = lam * theta; 1 for the constant kind, which has no lam."""
-        return 1.0 if self.kind is SchemeKind.CONSTANT else self.lam
-
-    @cached_property
-    def theta_max(self) -> float:
-        """Upper end of the admissible theta interval."""
-        return PROFILES[self.kind].u_max / self.u_scale
 
     def _check_theta(self, theta: float) -> None:
         if theta < -_DOMAIN_TOL:

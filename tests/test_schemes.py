@@ -92,7 +92,7 @@ class TestDomain:
 
 
 class TestStoredScales:
-    """u_scale and theta_max are computed once and kept on the instance."""
+    """u_scale and theta_max are derived once, at construction."""
 
     @pytest.mark.parametrize("kind", list(SchemeKind))
     def test_reading_leaves_eq_hash_repr(self, kind):
@@ -113,7 +113,6 @@ class TestStoredScales:
     @pytest.mark.parametrize("name", ["u_scale", "theta_max", "lam"])
     def test_assignment_refused(self, name):
         s = DrivingScheme.resonant(SchemeKind.EXPONENTIAL, lam=0.5)
-        s.theta_max  # read first, so a stored value exists
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(s, name, 3.0)
         assert (s.lam, s.u_scale, s.theta_max) == (0.5, 0.5, math.inf)
