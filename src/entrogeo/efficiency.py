@@ -241,12 +241,11 @@ def check_ranking_preservation(rates: Sequence[float]) -> bool:
         raise DomainError("rates must be positive")
     r_min, r_max = min(rates), max(rates)
     ascending = sorted(rates)
-    for score in (
-        lambda r: eta1(r, r_max),
-        lambda r: eta2(r, r_min),
-        lambda r: eta_sym(r, r_min),
+    for vals in (
+        [eta1(r, r_max) for r in ascending],
+        [eta2(r, r_min) for r in ascending],
+        [eta_sym(r, r_min) for r in ascending],
     ):
-        vals = [score(r) for r in ascending]
         if any(b > a for a, b in zip(vals, vals[1:])):
             return False
     return True
