@@ -84,6 +84,19 @@ class TestExitCodes:
         monkeypatch.setattr(efficiency, "rank_schemes", broken)
         assert _main_outcome(["table1"], capsys) == (4, "", "internal error: KeyError: 'rank'\n")
 
+    @pytest.mark.parametrize("target,text", [
+        ("missing/x.json", "No such file or directory"),
+        ("directory", "Is a directory"),
+    ], ids=["missing-directory", "directory"])
+    def test_unwritable_output_is_usage_error(self, target, text, tmp_path, capsys):
+        # one stderr line that names the user's path, not the temp file
+        (tmp_path / "directory").mkdir()
+        path = str(tmp_path / target)
+        argv = ["metrics", "--scheme", "constant", "--output", path]
+        assert _main_outcome(argv, capsys) == (2, "", f"error: cannot write {path}: {text}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["directory"]
+        assert list((tmp_path / "directory").iterdir()) == []
+
     def test_geodesic_past_validity_is_usage_error(self):
         # exponential with lam=0.5, thetadot0=0.1 is valid up to xi = 20
         res = run(

@@ -204,6 +204,22 @@ class TestDomainGuards:
             igc(metric, geo, 25.0)
 
 
+class TestGeodesicWindow:
+    # exponential at lam = 0.5 launched at xi0 = 1.0: igc and from_geodesic
+    # refuse a window that starts before the launch, as report does
+    SCHEME = DrivingScheme.resonant(SchemeKind.EXPONENTIAL, lam=0.5)
+    GEO = geodesic_closed_form(SCHEME, 1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("tau0", [0.999, 0.99, math.nan])
+    def test_igc_start_outside_validity(self, tau0):
+        with pytest.raises(OutOfValidity):
+            igc(fisher_closed_form(self.SCHEME), self.GEO, 1.0, tau0=tau0)
+
+    def test_from_geodesic_start_before_launch(self):
+        with pytest.raises(OutOfValidity):
+            ParamTrajectory.from_geodesic(self.GEO, (0.999, 1.999))
+
+
 # (lam, gamma, hbar, theta0, thetadot0, tau, xi0, tau0); gamma None means
 # resonant, and the constant kind takes gamma = (pi/2) hbar lam there
 CROSS_POINTS = [
