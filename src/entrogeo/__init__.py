@@ -58,7 +58,6 @@ from .efficiency import (
     region_boundary_scale,
 )
 from .thermo import (
-    TemperatureSign,
     TwoLevelEnsemble,
     beta_from_upper_probability,
     energy_variance,
@@ -66,5 +65,4 @@ from .thermo import (
     entropy_rate_canonical,
     entropy_rate_probability_velocity,
     gibbs_probabilities,
-    temperature_sign,
 )

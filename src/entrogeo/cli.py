@@ -3,8 +3,9 @@ emitters, crossover root finding, and the invariant verification suite.
 
 Exit codes: 0 ok, 1 verification failure, 2 usage/domain error,
 3 numerical failure, 4 internal error (an exception no other code
-names: a defect, reported on one stderr line).  CSV output is deterministic (17 significant
-digits, atomic writes) and every run is stamped with a config hash.
+names: a defect, reported on one stderr line); an unwritable ``--output``
+exits 2.  CSV output is deterministic (17 significant digits, atomic
+writes) and every run is stamped with a config hash.
 ``geodesic --samples`` is capped at 10**6 (exit 2 above it),
 because the ODE solver holds every sample in memory.
 """
@@ -92,10 +93,13 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(text: str, output: Optional[str]) -> None:
-    if output:
-        _atomic_write(output, text)
-    else:
+    if not output:
         sys.stdout.write(text)
+        return
+    try:
+        _atomic_write(output, text)
+    except OSError as exc:  # name the user's path, not the temp file
+        raise DomainError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
 def _csv(
@@ -436,8 +440,8 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(words, namespace)
 
 
-def _add_scheme_args(p, require_scheme=True):
-    p.add_argument("--scheme", required=require_scheme,
+def _add_scheme_args(p):
+    p.add_argument("--scheme", required=True,
                    choices=[k.value for k in SchemeKind])
     p.add_argument("--gamma", type=float, default=None,
                    help="field intensity scale; defaults to the resonance value")

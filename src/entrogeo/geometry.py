@@ -143,6 +143,22 @@ class Geodesic:
                 f"{self.scheme.kind.value} geodesic"
             )
 
+    @staticmethod
+    def check_duration(tau: float) -> None:
+        """Raise DomainError unless tau > 0; NaN is not."""
+        if not tau > 0:
+            raise DomainError(f"tau={tau} must be positive")
+
+    def check_span(self, tau0: float, tau: float) -> None:
+        """The window rule for an integral over [tau0, tau0 + tau]: tau0 passes
+        ``check_window``, tau ``check_duration``, and the end lies before
+        validity_end (else DomainError)."""
+        self.check_window(tau0)
+        self.check_duration(tau)
+        if not tau0 + tau < self.validity_end:
+            raise DomainError(f"window [{tau0}, {tau0 + tau}] exceeds geodesic validity "
+                              f"(ends at {self.validity_end})")
+
     def _eval(self, form, xi):
         np = _numpy()
         # Scalars skip the array conversion, but both paths call numpy's

@@ -45,6 +45,10 @@ class ParamTrajectory:
 
     @classmethod
     def from_geodesic(cls, geo: Geodesic, xi_range: tuple[float, float]) -> "ParamTrajectory":
+        """The geodesic over xi_range = (start, end), under the window rule:
+        OutOfValidity unless xi0 <= start < validity_end, DomainError
+        unless start < end < validity_end."""
+        geo.check_span(xi_range[0], xi_range[1] - xi_range[0])
         return cls(theta_of_xi=geo.theta, thetadot_of_xi=geo.thetadot, xi_range=xi_range)
 
     def _check(self, xi: float) -> None:
@@ -129,15 +133,11 @@ def igc(
     the nested integral into one, int_0^tau L = int_{tau0}^{tau0+tau}
     (tau0 + tau - xi) v(xi) dxi.  The rate follows from the Leibniz rule,
     dC/dtau = (L(tau) - C(tau)) / tau.
-    """
-    if not tau > 0:
-        raise DomainError(f"tau={tau} must be positive")
-    if not tau0 + tau < geodesic.validity_end:
-        raise DomainError(
-            f"window [{tau0}, {tau0 + tau}] exceeds geodesic validity "
-            f"(ends at {geodesic.validity_end})"
-        )
 
+    The window rule, through ``ParamTrajectory.from_geodesic``:
+    OutOfValidity unless xi0 <= tau0 < validity_end, DomainError unless
+    tau0 < tau0 + tau < validity_end, so a tau too small to move tau0 too.
+    """
     end = tau0 + tau
     traj = ParamTrajectory.from_geodesic(geodesic, (tau0, end))
     avg = _quad(lambda xi: (end - xi) * _speed(metric, traj, xi), tau0, end) / tau
@@ -201,18 +201,12 @@ def report(
     ``thermodynamic_length``, ``thermodynamic_divergence`` and ``igc``
     compute the same fields for any trajectory and serve as its oracle.
     """
-    if not tau > 0:
-        raise DomainError(f"tau={tau} must be positive")
+    Geodesic.check_duration(tau)
     # built before the geodesic, so that (2 gamma/hbar)^2 past the float
     # range is the error reported when the window is also invalid
     metric = fisher_closed_form(scheme)
     geo = geodesic_closed_form(scheme, xi0, theta0, thetadot0)
-    geo.check_window(tau0)
-    if not tau0 + tau < geo.validity_end:
-        raise DomainError(
-            f"window [{tau0}, {tau0 + tau}] exceeds geodesic validity "
-            f"(ends at {geo.validity_end})"
-        )
+    geo.check_span(tau0, tau)
     v, r, slope = _launch(metric, theta0, thetadot0)
     return PathMetricsReport(
         v_E=v, r_E=r, length=v * tau, divergence=r * tau,

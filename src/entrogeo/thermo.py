@@ -16,19 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 from .errors import DomainError
 
 _BETA_DIFF_STEP = 1e-6
-_U_ZERO_TOL = 1e-12
-
-
-class TemperatureSign(str, Enum):
-    POSITIVE = "positive"
-    NEGATIVE_T = "negative"
-    INFINITE_T = "infinite"
 
 
 @dataclass(frozen=True)
@@ -65,16 +57,6 @@ def entropy_of_energy(ens: TwoLevelEnsemble, U: float) -> float:
     p2 = (U + umax) / (2.0 * umax)
     p1 = 1.0 - p2
     return -(_xlogx(p1) + _xlogx(p2))
-
-
-def temperature_sign(ens: TwoLevelEnsemble, U: float) -> TemperatureSign:
-    """Sign of dsigma/dU: positive below U=0, negative above (inversion)."""
-    umax = ens.u_max
-    if not (-umax < U < umax):
-        raise DomainError(f"U={U} must lie strictly inside (-{umax}, {umax})")
-    if abs(U) <= _U_ZERO_TOL * max(1.0, umax):
-        return TemperatureSign.INFINITE_T
-    return TemperatureSign.POSITIVE if U < 0 else TemperatureSign.NEGATIVE_T
 
 
 def gibbs_probabilities(ens: TwoLevelEnsemble, beta: float) -> tuple[float, float]:

@@ -48,12 +48,12 @@ from .schemes import (
 _SEED = 20230817
 
 
-def _random_thetas(rng, scheme: DrivingScheme, n: int, margin: float = 0.05):
+def _random_thetas(rng, scheme: DrivingScheme, n: int):
+    """n thetas drawn uniformly from the inner 90 % of [0, theta_max]."""
     hi = scheme.theta_max
     if not math.isfinite(hi):
         hi = 5.0
-    lo = margin * hi
-    return rng.uniform(lo, (1.0 - margin) * hi, size=n).tolist()
+    return rng.uniform(0.05 * hi, 0.95 * hi, size=n).tolist()
 
 
 # --- schemes -----------------------------------------------------------

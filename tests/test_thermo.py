@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from entrogeo import (
     DomainError,
-    TemperatureSign,
     TwoLevelEnsemble,
     beta_from_upper_probability,
     energy_variance,
@@ -15,7 +14,6 @@ from entrogeo import (
     entropy_rate_canonical,
     entropy_rate_probability_velocity,
     gibbs_probabilities,
-    temperature_sign,
 )
 
 ENS = TwoLevelEnsemble(epsilon=1.0)
@@ -45,17 +43,6 @@ class TestEntropyCurve:
         assert entropy_of_energy(ENS, u) == pytest.approx(
             entropy_of_energy(ENS, -u), abs=1e-14
         )
-
-
-class TestTemperature:
-    def test_signs(self):
-        assert temperature_sign(ENS, -0.5) is TemperatureSign.POSITIVE
-        assert temperature_sign(ENS, 0.5) is TemperatureSign.NEGATIVE_T
-        assert temperature_sign(ENS, 0.0) is TemperatureSign.INFINITE_T
-
-    def test_endpoints_rejected(self):
-        with pytest.raises(DomainError):
-            temperature_sign(ENS, ENS.u_max)
 
 
 class TestGibbs:

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used there; the
-package ``__init__`` re-exports, so it is exempt."""
+"""Every name a module of the package, a test module or the golden
+corpus script imports is used there; the package ``__init__`` re-exports,
+so it is exempt."""
 import ast
 from pathlib import Path
 
@@ -7,7 +8,12 @@ import pytest
 
 import entrogeo
 
-MODULES = sorted(p for p in Path(entrogeo.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).parent
+MODULES = [
+    *sorted(p for p in Path(entrogeo.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    *sorted(TESTS.glob("*.py")),
+    TESTS / "golden" / "regen.py",
+]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
