@@ -15,8 +15,7 @@ from pathlib import Path
 
 import entrogeo
 
-PACKAGE = Path(entrogeo.__file__).parent
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in Path(entrogeo.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
 # name -> why it stays although nothing in the package reaches it
 ALLOWED: dict[str, str] = {}
@@ -59,14 +58,11 @@ def _package_sources() -> list[str]:
 
 
 def test_every_public_name_is_reached():
-    dead = uncalled_public_names(_package_sources()) - ALLOWED.keys()
-    assert not dead, f"public names that nothing in the package reaches: {sorted(dead)}"
-
-
-def test_allow_list_is_current():
-    # an entry whose name is reached, or gone, is stale
+    # an allow-list entry whose name is reached, or gone, is stale
     dead = uncalled_public_names(_package_sources())
-    assert ALLOWED.keys() <= dead, sorted(ALLOWED.keys() - dead)
+    assert dead == ALLOWED.keys(), (
+        f"reached by nothing in the package: {sorted(dead - ALLOWED.keys())}; "
+        f"stale in ALLOWED: {sorted(ALLOWED.keys() - dead)}")
 
 
 def test_an_added_uncalled_function_is_found():
